@@ -195,16 +195,3 @@ def load_triples_flat(path: str) -> list[TransactionTriple]:
                 )
             )
     return triples
-
-
-def dump_triples_flat(path: str, triples: list[TransactionTriple]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triples:
-            row = {
-                "source_id": t.source_id,
-                "buyer": t.buyer.raw_name if t.buyer else None,
-                "supplier": t.supplier.raw_name if t.supplier else None,
-                "item": t.item,
-                "confidence": t.confidence,
-            }
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")

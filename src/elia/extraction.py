@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from .core import CompanyRef, Sentence, TransactionTriple
-from .errors import BackendError, ConfigError, ExtractionFormatError, RateLimitError
+from .errors import (
+    BackendError,
+    ConfigError,
+    ExtractionFormatError,
+    RateLimitError,
+    SchemaError,
+)
 from .transcripts import Gazetteer, detect_mentions
 
 # Neutral default; callers with a curated preamble should override it.
@@ -227,10 +233,18 @@ class RecordedBackend:
     def from_fixture(cls, fixture_path: str, sentences: list[Sentence]) -> "RecordedBackend":
         by_id: dict[str, str] = {}
         with open(fixture_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
                     row = json.loads(line)
                     by_id[row["sentence_id"]] = row["response_text"]
+                except KeyError as exc:
+                    raise SchemaError(f"{fixture_path}:{lineno}: missing field {exc}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise SchemaError(
+                        f"{fixture_path}:{lineno}: malformed fixture row: {exc}"
+                    ) from exc
         text_of = {s.id: s.text for s in sentences}
         responses = {text_of[sid]: resp for sid, resp in by_id.items() if sid in text_of}
         return cls(responses)

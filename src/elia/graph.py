@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import EmissionFactor
-from .errors import CycleError, NodeNotFoundError, UsageError
+from .errors import CycleError, NodeNotFoundError, SchemaError, UsageError
 from .resolution import normalize_name
 from .store import DatasetStore
 
@@ -91,12 +91,6 @@ class SupplyGraph:
         self.edges.append(edge)
         return edge
 
-    def in_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.target == node_id]
-
-    def out_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.source == node_id]
-
 
 @dataclass
 class FactorSampler:
@@ -114,11 +108,6 @@ class FactorSampler:
     def factor_for(self, item: str) -> EmissionFactor:
         rng = random.Random(f"{self.seed}\x1f{item}")
         return EmissionFactor(per_kg_co2e=self._draw(rng), provenance="sampled")
-
-    def sample(self, count: int) -> list[float]:
-        """Draw ``count`` values from the seed's anonymous stream."""
-        rng = random.Random(self.seed)
-        return [self._draw(rng) for _ in range(count)]
 
     def _draw(self, rng: random.Random) -> float:
         for _ in range(1000):
@@ -152,15 +141,17 @@ def load_factor_table(path: str, fallback: FactorSampler | EmissionFactor | None
     """Read ndjson rows {"item_pattern", "per_kg_co2e", "provenance"}."""
     rules = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 row = json.loads(line)
-                rules.append(
-                    (
-                        row["item_pattern"],
-                        EmissionFactor(float(row["per_kg_co2e"]), row.get("provenance", "table")),
-                    )
-                )
+                factor = EmissionFactor(float(row["per_kg_co2e"]), row.get("provenance", "table"))
+                rules.append((row["item_pattern"], factor))
+            except KeyError as exc:
+                raise SchemaError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}:{lineno}: malformed factor row: {exc}") from exc
     return FactorTable(rules=rules, fallback=fallback)
 
 

@@ -60,9 +60,6 @@ class DatasetStore:
         self.triples[triple.triple_id] = triple
         return triple.triple_id
 
-    def triples_for_source(self, source_id: str) -> list[TransactionTriple]:
-        return [t for t in self.triples.values() if t.source_id == source_id]
-
     def referenced_names(self) -> list[str]:
         """All raw company names in records and triples, with multiplicity.
 

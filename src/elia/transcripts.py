@@ -33,17 +33,54 @@ _TOKEN = re.compile(r"\S+")
 _SENT_OPENERS = "\"'“‘("
 
 
-@dataclass
-class Gazetteer:
-    """Known company names plus corporate suffix tokens."""
+@dataclass(frozen=True)
+class _LengthMatcher:
+    """All gazetteer entries of one length, as one zero-width pattern.
 
-    entries: set[str] = field(default_factory=set)
+    ``pattern`` matches, with zero width, at every start where some entry
+    occurs as a whole word, so overlapping hits are all found. Each entry is
+    its own capture group, and ``classes[g - 1]`` is the first group whose
+    entry matches the same texts as group ``g``'s: under ``re.IGNORECASE``
+    that relation is an equivalence.
+    """
+
+    length: int
+    pattern: re.Pattern
+    classes: tuple[int, ...]
+
+
+def _compile_matchers(entries: frozenset[str]) -> tuple[_LengthMatcher, ...]:
+    by_length: dict[int, list[str]] = {}
+    for entry in sorted(entries):
+        by_length.setdefault(len(entry), []).append(entry)
+    matchers = []
+    for length, group in sorted(by_length.items()):
+        alternation = "|".join(f"({re.escape(entry)})" for entry in group)
+        pattern = re.compile(rf"(?<!\w)(?=(?:{alternation})(?!\w))", re.IGNORECASE)
+        # An entry's first matching group is the first entry of its class.
+        classes = tuple(pattern.match(entry).lastindex for entry in group)
+        matchers.append(_LengthMatcher(length, pattern, classes))
+    return tuple(matchers)
+
+
+@dataclass(frozen=True)
+class Gazetteer:
+    """Known company names plus corporate suffix tokens.
+
+    The name matcher is compiled once, at construction, and ``entries`` is
+    immutable, so the two cannot drift apart.
+    """
+
+    entries: frozenset[str] = frozenset()
     suffixes: frozenset[str] = DEFAULT_SUFFIXES
+    _matchers: tuple[_LengthMatcher, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.entries = {e.strip() for e in self.entries if e and e.strip()}
         if not self.suffixes:
             raise ValueError("suffix set must be non-empty")
+        entries = frozenset(e.strip() for e in self.entries if e and e.strip())
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_matchers", _compile_matchers(entries))
 
 
 def load_gazetteer(path: str, suffixes: frozenset[str] = DEFAULT_SUFFIXES) -> Gazetteer:
@@ -146,6 +183,25 @@ def _suffix_run_spans(text: str, suffixes: frozenset[str]) -> list[tuple[int, in
     return spans
 
 
+def _gazetteer_spans(text: str, gaz: Gazetteer) -> set[tuple[int, int]]:
+    """Whole-word, case-insensitive occurrences of gazetteer entries.
+
+    One entry's occurrences never overlap each other: after a hit, the same
+    entry is looked for again only from the hit's end, as a per-entry
+    ``finditer`` would. Entries of one class share that cursor.
+    """
+    spans = set()
+    for matcher in gaz._matchers:
+        resume_at: dict[int, int] = {}
+        for m in matcher.pattern.finditer(text):
+            start = m.start()
+            cls = matcher.classes[m.lastindex - 1]
+            if start >= resume_at.get(cls, 0):
+                spans.add((start, start + matcher.length))
+                resume_at[cls] = start + matcher.length
+    return spans
+
+
 def detect_mentions(sentence: Sentence, gaz: Gazetteer) -> Sentence:
     """Return a copy of the sentence with company mentions populated.
 
@@ -155,11 +211,7 @@ def detect_mentions(sentence: Sentence, gaz: Gazetteer) -> Sentence:
     by start and non-overlapping.
     """
     text = sentence.text
-    candidates: set[tuple[int, int]] = set()
-    for entry in gaz.entries:
-        pattern = re.compile(r"(?<!\w)" + re.escape(entry) + r"(?!\w)", re.IGNORECASE)
-        for m in pattern.finditer(text):
-            candidates.add((m.start(), m.end()))
+    candidates = _gazetteer_spans(text, gaz)
     candidates.update(_suffix_run_spans(text, gaz.suffixes))
 
     chosen: list[tuple[int, int]] = []

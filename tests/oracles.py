@@ -1,4 +1,7 @@
-"""Independent oracles and generators for the graph tests.
+"""Independent oracles and generators for the graph and transcript tests.
+
+The mention oracle is the original detector: it compiles one regex per
+gazetteer entry for every sentence, which is slow but plainly right.
 
 The retained-liability oracle deliberately avoids the library's pool
 equations and topological pass: it injects every direct-emission amount and
@@ -10,10 +13,37 @@ is fine for the small random graphs used in tests.
 from __future__ import annotations
 
 import random
+import re
 from collections import defaultdict
 
-from elia.core import EmissionFactor
+from elia.core import EmissionFactor, Mention, Sentence
 from elia.graph import SupplyGraph
+from elia.transcripts import Gazetteer, _suffix_run_spans
+
+
+def oracle_mentions(sentence: Sentence, gaz: Gazetteer) -> Sentence:
+    text = sentence.text
+    candidates: set[tuple[int, int]] = set()
+    for entry in gaz.entries:
+        pattern = re.compile(r"(?<!\w)" + re.escape(entry) + r"(?!\w)", re.IGNORECASE)
+        for m in pattern.finditer(text):
+            candidates.add((m.start(), m.end()))
+    candidates.update(_suffix_run_spans(text, gaz.suffixes))
+
+    chosen: list[tuple[int, int]] = []
+    for start, end in sorted(candidates, key=lambda se: (se[0] - se[1], se[0])):
+        if all(end <= s or start >= e for s, e in chosen):
+            chosen.append((start, end))
+    chosen.sort()
+
+    mentions = [Mention(s, e, text[s:e]) for s, e in chosen]
+    return Sentence(
+        transcript_id=sentence.transcript_id,
+        index=sentence.index,
+        text=sentence.text,
+        mentions=mentions,
+        id=sentence.id,
+    )
 
 
 def oracle_retained(graph: SupplyGraph) -> dict[str, float]:

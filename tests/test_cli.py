@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from conftest import fixture_path
 
 from elia.cli import main
@@ -56,6 +57,33 @@ def test_eval_bad_gold_file_exits_1(tmp_path):
     bad.write_text('{"source_id": "s1", "buyer": "A", "supplier": "B", "item": "c"}\n' * 2)
     code = run("eval", "--pred", bad, "--gold", bad)
     assert code == 1
+
+
+@pytest.mark.parametrize("bad_row, reason", [
+    ('{"item_pattern": "WINE*"}', "missing field 'per_kg_co2e'"),
+    ('{"item_pattern": "WINE*", "per_kg', "malformed factor row"),
+])
+def test_build_malformed_factor_row_exits_1(tmp_path, caplog, bad_row, reason):
+    store = tmp_path / "store"
+    assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0
+    factors = tmp_path / "factors.ndjson"
+    factors.write_text('{"item_pattern": "*", "per_kg_co2e": 1.0}\n' + bad_row + "\n")
+    assert run("--store", store, "build", "--factors", factors) == 1
+    assert f"{factors}:2: {reason}" in caplog.text
+
+
+@pytest.mark.parametrize("bad_row, reason", [
+    ('{"sentence_id": "s1"}', "missing field 'response_text'"),
+    ('{"sentence_id": "s1", "resp', "malformed fixture row"),
+])
+def test_extract_malformed_fixture_row_exits_1(tmp_path, caplog, bad_row, reason):
+    store = tmp_path / "store"
+    transcripts = sorted((fixture_path() / "transcripts").glob("*.txt"))
+    assert run("--store", store, "ingest-transcripts", *transcripts) == 0
+    fixture = tmp_path / "responses.ndjson"
+    fixture.write_text('{"sentence_id": "s0", "response_text": "x"}\n' + bad_row + "\n")
+    assert run("--store", store, "extract", "--backend", "recorded", "--fixture", fixture) == 1
+    assert f"{fixture}:2: {reason}" in caplog.text
 
 
 def test_full_pipeline_via_subcommands(tmp_path, capsys):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from elia.core import Sentence
 from elia.store import new_store
@@ -14,6 +16,7 @@ from elia.transcripts import (
     prefilter,
     segment,
 )
+from oracles import oracle_mentions
 
 
 def texts(sentences):
@@ -169,6 +172,82 @@ def test_mentions_sorted_and_non_overlapping(tokens):
     got = detect_mentions(one_sentence(" ".join(tokens)), gaz)
     for first, second in zip(got.mentions, got.mentions[1:]):
         assert first.end <= second.start
+
+
+def test_short_entry_kept_when_longer_entry_at_same_start_is_blocked():
+    # "Gamma Delta Epsilon" is the longest span and blocks "Beta Gamma";
+    # "Beta", which starts where "Beta Gamma" does, still fits.
+    gaz = Gazetteer(entries={"Beta", "Beta Gamma", "Gamma Delta Epsilon"})
+    sentence = one_sentence("Beta Gamma Delta Epsilon")
+    got = detect_mentions(sentence, gaz)
+    assert [m.surface for m in got.mentions] == ["Beta", "Gamma Delta Epsilon"]
+    assert got.mentions == oracle_mentions(sentence, gaz).mentions
+
+
+def test_entry_occurrences_do_not_overlap_each_other():
+    # "Co & Co" occurs at 8 and, overlapping itself, at 13. As with a
+    # per-entry finditer, only the first counts; "Brown & Co" then blocks it.
+    gaz = Gazetteer(entries={"Brown & Co", "Co & Co"})
+    sentence = one_sentence("Brown & Co & Co & Co")
+    got = detect_mentions(sentence, gaz)
+    assert [m.surface for m in got.mentions] == ["Brown & Co"]
+    assert got.mentions == oracle_mentions(sentence, gaz).mentions
+
+
+def test_gazetteer_larger_than_re_cache():
+    # More entries than the re module caches compiled patterns (512).
+    names = [f"Firm {i:03d} Trading" for i in range(600)]
+    gaz = Gazetteer(entries=names)
+    sentence = one_sentence("FIRM 007 TRADING ships to Firm 599 Trading, not firm 600 trading.")
+    got = detect_mentions(sentence, gaz)
+    assert [m.surface for m in got.mentions] == ["FIRM 007 TRADING", "Firm 599 Trading"]
+    assert got.mentions == oracle_mentions(sentence, gaz).mentions
+
+
+def test_gazetteer_is_immutable():
+    gaz = Gazetteer(entries={"Samsung"})
+    assert isinstance(gaz.entries, frozenset)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gaz.entries = frozenset({"Apple"})
+
+
+# Letters whose case rules differ between re.IGNORECASE and str.lower():
+# dotted capital I, long s and the Kelvin sign, next to their ASCII kin.
+_NAME_CHARS = "abAB iIİıksSſKK.&-("
+_WORDS = ["a", "ab", "AB", "İı", "ſS", "KK", "Co", "Ltd", "&", "(b", "-"]
+
+
+@st.composite
+def gazetteer_cases(draw):
+    words = draw(st.lists(
+        st.sampled_from(_WORDS) | st.text(_NAME_CHARS, min_size=1, max_size=3),
+        min_size=1, max_size=10,
+    ))
+    separators = draw(st.lists(st.sampled_from([" ", "", ", ", ". "]),
+                               min_size=len(words), max_size=len(words)))
+    text = "".join(word + sep for word, sep in zip(words, separators))
+    # Entries are cut from the text, so they overlap each other and
+    # themselves; each also brings a case variant, a longer entry with the
+    # same prefix, one of equal length and one with punctuation at its edges.
+    recase = st.sampled_from([str, str.upper, str.lower, str.swapcase])
+    entries = set()
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, len(text) - 1))
+        window = text[start:draw(st.integers(start + 1, len(text)))]
+        entries.add(draw(recase)(window))
+        entries.add(window + draw(st.text(_NAME_CHARS, min_size=1, max_size=3)))
+        entries.add(draw(st.text(_NAME_CHARS, min_size=len(window), max_size=len(window))))
+        entries.add(draw(st.sampled_from(".&(-")) + window + draw(st.sampled_from(".&)-")))
+    return entries, text
+
+
+@settings(max_examples=300)
+@given(gazetteer_cases())
+def test_detect_mentions_matches_oracle(case):
+    entries, text = case
+    gaz = Gazetteer(entries=entries)
+    sentence = one_sentence(text)
+    assert detect_mentions(sentence, gaz).mentions == oracle_mentions(sentence, gaz).mentions
 
 
 def test_detect_mentions_is_pure_and_deterministic():
