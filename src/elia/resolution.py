@@ -130,7 +130,7 @@ def resolve(
         aliases = {raw for raw in raw_counts if norm_of[raw] in set(member_forms)}
         display = min(aliases, key=lambda raw: (-raw_counts[raw], normalize_name(raw), raw))
         entity = CanonicalEntity(canonical_id=cid, display_name=display, aliases=aliases)
-        for raw in aliases:
+        for raw in sorted(aliases):
             alias_map[raw] = cid
         entities[cid] = entity
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -204,3 +205,27 @@ def test_config_file_values_and_errors(tmp_path, capsys):
 
     config.write_text("temperature = 9.5\n")
     assert run("--store", store, "--config", config, "resolve") == 1
+
+
+# sha256 of the demo's outputs; manifest.json is left out because it carries a timestamp.
+DEMO_GOLDEN = {
+    "stdout": "c47538e11c6d5db9b569e0ff1c876c367a0d8942c22ba132f6add3049de01c8f",
+    "graph.json": "57ffee9f895b8038407ed5ad50e6ae9b3c38356f8893386b24ed9cb118f061ae",
+    "graph.gexf": "6c753a0b3c5497c4d1921329548e583baa580259c4eac71080526a7969e9e947",
+    "report.json": "e309469902eb5f5ab50c2606ec2daf88387be97aa0a98f03955d0d7abcb7e771",
+    "store/records.ndjson": "1f3dcaad959334f02e51e39f45653f6f3ae3e1b5db2d1458d8f88ff29255f295",
+    "store/sentences.ndjson": "458adc592cfddd27c3c1cb09fb5a29b78aaef7f3bb83945035e672e88d47a944",
+    "store/triples.ndjson": "ac519a1c987753a5d421a97446f59c8499da2741f6b3a2b6b549009437f2c456",
+    "store/aliases.ndjson": "083d6cec5d210ac0ebd2b2baaf42429621494f607a488761729c4611f34f1c10",
+}
+
+
+def test_demo_outputs_match_golden(tmp_path, capsys):
+    out_dir = tmp_path / "demo"
+    assert run("demo", "--out", out_dir) == 0
+    stdout = capsys.readouterr().out.replace(str(out_dir), "<out>")
+    digests = {"stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}
+    for name in DEMO_GOLDEN:
+        if name != "stdout":
+            digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    assert digests == DEMO_GOLDEN

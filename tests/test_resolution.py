@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import elia
 from elia.resolution import (
     apply_overrides,
     normalize_name,
@@ -206,3 +212,21 @@ def test_override_to_fresh_name_creates_entity():
     cid = patched.alias_map["ACME LTD"]
     assert patched.entities[cid].display_name == "Acme Holdings"
     assert patched.alias_map["Acme Holdings"] == cid
+
+
+def test_alias_map_order_independent_of_hash_seed():
+    # One cluster of many spellings: set iteration order would differ by seed.
+    names = ["Apex Steelworks", "APEX STEELWORKS LLC", "apex steelworks, llc", "Apex Steelworks Inc",
+             "APEX STEELWORKS CO", "Apex  Steelworks Ltd", "APEX STEELWORKS CORP", "Other Firm"]
+    script = (
+        "import json, sys; from elia.resolution import resolve; "
+        "print(json.dumps(list(resolve(json.loads(sys.argv[1])).alias_map.items())))"
+    )
+    orders = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(elia.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(names)], env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        orders.append(json.loads(done.stdout))
+    assert orders[0] == orders[1]
