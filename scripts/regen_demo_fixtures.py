@@ -3,7 +3,8 @@
 
 Sentence ids are content hashes over (transcript id, index, text), so the
 recorded-response fixture must be regenerated whenever the bundled
-transcripts or the segmentation rules change. Run from the repo root:
+transcripts or the segmentation rules change. The inputs are ingested by
+the same stages ``elia demo`` runs. Run from the repo root:
 
     python scripts/regen_demo_fixtures.py
 """
@@ -12,17 +13,9 @@ from __future__ import annotations
 
 import json
 
-from elia.bol import normalize_product_desc, parse_bol_file
-from elia.cli import fixtures_dir
+from elia.cli import _ingest_demo_inputs, fixtures_dir
 from elia.store import new_store
-from elia.transcripts import (
-    detect_mentions,
-    gazetteer_from_store,
-    load_gazetteer,
-    load_transcript,
-    prefilter,
-    segment,
-)
+from elia.transcripts import prefilter
 
 # Response for each mention-bearing demo sentence, keyed by exact text.
 RESPONSES = {
@@ -38,31 +31,22 @@ RESPONSES = {
 
 
 def main() -> None:
-    fx = fixtures_dir()
     store = new_store()
-    records, _ = parse_bol_file(str(fx / "bol_demo.csv"))
-    for rec in records:
-        rec.product_desc = normalize_product_desc(rec.product_desc)
-        store.add_record(rec)
-    gaz = gazetteer_from_store(store, extra=tuple(load_gazetteer(str(fx / "gazetteer.txt")).entries))
-
+    _ingest_demo_inputs(store)
     rows = []
     unmatched = []
-    for path in sorted((fx / "transcripts").glob("*.txt")):
-        transcript_id, text = load_transcript(str(path))
-        sentences = [detect_mentions(s, gaz) for s in segment(text, transcript_id)]
-        for sentence in prefilter(sentences):
-            response = RESPONSES.get(sentence.text)
-            if response is None:
-                unmatched.append(sentence.text)
-                continue
-            rows.append({"sentence_id": sentence.id, "response_text": response})
+    for sentence in prefilter(list(store.sentences.values())):
+        response = RESPONSES.get(sentence.text)
+        if response is None:
+            unmatched.append(sentence.text)
+            continue
+        rows.append({"sentence_id": sentence.id, "response_text": response})
 
     if unmatched:
         raise SystemExit(
             "prefiltered sentences without a scripted response:\n  " + "\n  ".join(unmatched)
         )
-    out = fx / "mock_responses.ndjson"
+    out = fixtures_dir() / "mock_responses.ndjson"
     with open(out, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")

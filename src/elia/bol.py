@@ -89,9 +89,7 @@ def _parse_date(text: str) -> date | None:
     raise ValueError(f"unrecognized date: {text!r}")
 
 
-def parse_bol_file(
-    path: str, delimiter: str = ",", has_header: bool = True
-) -> tuple[list[ShipmentRecord], BolParseReport]:
+def parse_bol_file(path: str, delimiter: str = ",") -> tuple[list[ShipmentRecord], BolParseReport]:
     """Parse one delimited file into shipment records plus a reject report.
 
     The header row must map at least shipper, consignee, product, quantity
@@ -106,8 +104,6 @@ def parse_bol_file(
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, no header row") from None
-        if not has_header:
-            raise SchemaError("headerless files are not supported; a header row is required")
         columns = _map_header(header)
 
         for row in reader:

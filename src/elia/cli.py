@@ -54,9 +54,9 @@ from .store import load_store, new_store, save_store
 from .transcripts import (
     detect_mentions,
     gazetteer_from_store,
-    load_gazetteer,
     load_transcript,
     prefilter,
+    read_gazetteer_names,
     segment,
 )
 
@@ -94,16 +94,18 @@ def _config_from(args) -> Config:
     return cfg
 
 
-def cmd_ingest_bol(args, cfg: Config) -> int:
-    delimiter = "\t" if args.tab else args.delimiter
-    records, report = parse_bol_file(args.path, delimiter=delimiter)
-    if args.normalize_products:
+def _print_counts(stage: str, counts: dict[str, int]) -> None:
+    print(f"{stage}: " + " ".join(f"{key}={value}" for key, value in counts.items()))
+
+
+def _ingest_bol(store, path: str, delimiter: str = ",", normalize: bool = False) -> dict[str, int]:
+    records, report = parse_bol_file(path, delimiter=delimiter)
+    if normalize:
         records = [
             dataclasses.replace(rec, product_desc=normalize_product_desc(rec.product_desc),
                                 record_id="")
             for rec in records
         ]
-    store = _load_or_new_store(args.store)
     added = skipped = 0
     for rec in records:
         if rec.record_id in store.records:
@@ -111,22 +113,17 @@ def cmd_ingest_bol(args, cfg: Config) -> int:
         else:
             store.add_record(rec)
             added += 1
-    save_store(store, args.store)
     for line_no, reason in report.rejects:
         log.warning("line %d rejected: %s", line_no, reason)
-    print(
-        f"ingest-bol: accepted={report.accepted} rejected={report.rejected} "
-        f"added={added} skipped_existing={skipped}"
-    )
-    return 0
+    return {"accepted": report.accepted, "rejected": report.rejected,
+            "added": added, "skipped_existing": skipped}
 
 
-def cmd_ingest_transcripts(args, cfg: Config) -> int:
-    store = _load_or_new_store(args.store)
-    extra = tuple(load_gazetteer(args.gazetteer).entries) if args.gazetteer else ()
+def _ingest_transcripts(store, paths, gazetteer: str | None = None) -> dict[str, int]:
+    extra = tuple(read_gazetteer_names(gazetteer)) if gazetteer else ()
     gaz = gazetteer_from_store(store, extra=extra)
     added = skipped = total = 0
-    for path in args.paths:
+    for path in paths:
         transcript_id, text = load_transcript(path)
         for sentence in segment(text, transcript_id):
             total += 1
@@ -136,19 +133,42 @@ def cmd_ingest_transcripts(args, cfg: Config) -> int:
             else:
                 store.add_sentence(tagged)
                 added += 1
+    return {"sentences": total, "added": added, "skipped_existing": skipped}
+
+
+def _ingest_demo_inputs(store) -> None:
+    """Ingest the bundled shipments and transcripts, as ``demo`` does."""
+    fx = fixtures_dir()
+    _ingest_bol(store, str(fx / "bol_demo.csv"), normalize=True)
+    transcripts = [str(p) for p in sorted((fx / "transcripts").glob("*.txt"))]
+    _ingest_transcripts(store, transcripts, str(fx / "gazetteer.txt"))
+
+
+def cmd_ingest_bol(args, cfg: Config) -> int:
+    store = _load_or_new_store(args.store)
+    delimiter = "\t" if args.tab else args.delimiter
+    counts = _ingest_bol(store, args.path, delimiter, args.normalize_products)
     save_store(store, args.store)
-    print(f"ingest-transcripts: sentences={total} added={added} skipped_existing={skipped}")
+    _print_counts("ingest-bol", counts)
     return 0
 
 
-def _make_backend(args, cfg: Config, sentences):
-    if args.backend == "recorded":
-        if not args.fixture:
+def cmd_ingest_transcripts(args, cfg: Config) -> int:
+    store = _load_or_new_store(args.store)
+    counts = _ingest_transcripts(store, args.paths, args.gazetteer)
+    save_store(store, args.store)
+    _print_counts("ingest-transcripts", counts)
+    return 0
+
+
+def _make_backend(name: str, fixture: str | None, cfg: Config, sentences):
+    if name == "recorded":
+        if not fixture:
             raise UsageError("--fixture FILE is required with --backend recorded")
-        return RecordedBackend.from_fixture(args.fixture, sentences)
-    if args.backend == "rule":
+        return RecordedBackend.from_fixture(fixture, sentences)
+    if name == "rule":
         return RuleBasedBackend()
-    if args.backend == "live":
+    if name == "live":
         if not cfg.api_endpoint:
             raise ConfigError("api_endpoint must be configured for the live backend")
         if not os.environ.get(cfg.api_key_env):
@@ -157,46 +177,56 @@ def _make_backend(args, cfg: Config, sentences):
                 "refusing to select the live backend"
             )
         return HttpCompletionBackend(cfg.api_endpoint, api_key_env=cfg.api_key_env)
-    raise UsageError(f"unknown backend: {args.backend!r}")
+    raise UsageError(f"unknown backend: {name!r}")
 
 
-def cmd_extract(args, cfg: Config) -> int:
-    store = _load_existing_store(args.store)
+def _extract(store, cfg: Config, backend: str, fixture: str | None = None,
+             examples: str | None = None) -> dict[str, int]:
     sentences = list(store.sentences.values())
     kept = prefilter(sentences)
     already = {t.source_id for t in store.triples.values()}
     pending = [s for s in kept if s.id not in already]
-    examples_path = args.examples or str(fixtures_dir() / "few_shot.ndjson")
     prompt_cfg = PromptConfig(
-        examples=load_examples(examples_path),
+        examples=load_examples(examples or str(fixtures_dir() / "few_shot.ndjson")),
         temperature=cfg.temperature,
         model_name=cfg.model_name,
     )
-    backend = _make_backend(args, cfg, sentences)
     triples, errors = extract_batch(
-        pending, prompt_cfg, backend, concurrency=cfg.concurrency_limit
+        pending, prompt_cfg, _make_backend(backend, fixture, cfg, sentences),
+        concurrency=cfg.concurrency_limit,
     )
     for triple in triples:
         store.add_triple(triple)
-    save_store(store, args.store)
     for sentence_id, error in errors:
         log.warning("extraction failed for %s: %s", sentence_id, error)
-    print(
-        f"extract: prefiltered={len(kept)} pending={len(pending)} "
-        f"triples={len(triples)} errors={len(errors)}"
-    )
+    return {"prefiltered": len(kept), "pending": len(pending),
+            "triples": len(triples), "errors": len(errors)}
+
+
+def cmd_extract(args, cfg: Config) -> int:
+    store = _load_existing_store(args.store)
+    counts = _extract(store, cfg, args.backend, args.fixture, args.examples)
+    save_store(store, args.store)
+    _print_counts("extract", counts)
     return 0
+
+
+def _resolve(store, cfg: Config, threshold: float | None = None,
+             overrides: str | None = None) -> dict[str, int]:
+    if threshold is None:
+        threshold = cfg.resolution_threshold
+    result = resolve(store.referenced_names(), threshold=threshold)
+    if overrides:
+        result = apply_overrides(result, load_overrides(overrides))
+    store.alias_map = dict(result.alias_map)
+    return {"names": len(result.alias_map), "entities": len(result.entities)}
 
 
 def cmd_resolve(args, cfg: Config) -> int:
     store = _load_existing_store(args.store)
-    threshold = cfg.resolution_threshold if args.threshold is None else args.threshold
-    result = resolve(store.referenced_names(), threshold=threshold)
-    if args.overrides:
-        result = apply_overrides(result, load_overrides(args.overrides))
-    store.alias_map = dict(result.alias_map)
+    counts = _resolve(store, cfg, args.threshold, args.overrides)
     save_store(store, args.store)
-    print(f"resolve: names={len(result.alias_map)} entities={len(result.entities)}")
+    _print_counts("resolve", counts)
     return 0
 
 
@@ -209,13 +239,18 @@ def _factor_source(args, cfg: Config):
     return sampler
 
 
-def cmd_build(args, cfg: Config) -> int:
-    store = _load_existing_store(args.store)
-    graph, report = build_graph(store, store.alias_map, _factor_source(args, cfg))
-    out = args.out or os.path.join(args.store, GRAPH_FILE)
-    export(graph, None, ExportOptions(format="graph_json"), out)
+def _build(store, factors):
+    graph, report = build_graph(store, store.alias_map, factors)
     for ref, reason in report.skipped:
         log.warning("skipped %s: %s", ref, reason)
+    return graph, report
+
+
+def cmd_build(args, cfg: Config) -> int:
+    store = _load_existing_store(args.store)
+    graph, report = _build(store, _factor_source(args, cfg))
+    out = args.out or os.path.join(args.store, GRAPH_FILE)
+    export(graph, None, ExportOptions(format="graph_json"), out)
     print(
         f"build: nodes={len(graph.nodes)} edges={len(graph.edges)} "
         f"(records={report.edges_from_records} triples={report.edges_from_triples} "
@@ -306,46 +341,14 @@ def cmd_demo(args, cfg: Config) -> int:
     store_dir = str(out_dir / "store")
     fx = fixtures_dir()
 
-    records, _ = parse_bol_file(str(fx / "bol_demo.csv"))
-    records = [
-        dataclasses.replace(r, product_desc=normalize_product_desc(r.product_desc), record_id="")
-        for r in records
-    ]
     store = new_store()
-    for rec in records:
-        store.add_record(rec)
-
-    gaz_entries = load_gazetteer(str(fx / "gazetteer.txt")).entries
-    gaz = gazetteer_from_store(store, extra=tuple(gaz_entries))
-    for path in sorted((fx / "transcripts").glob("*.txt")):
-        transcript_id, text = load_transcript(str(path))
-        for sentence in segment(text, transcript_id):
-            store.add_sentence(detect_mentions(sentence, gaz))
-
-    kept = prefilter(list(store.sentences.values()))
-    prompt_cfg = PromptConfig(
-        examples=load_examples(str(fx / "few_shot.ndjson")),
-        temperature=cfg.temperature,
-        model_name=cfg.model_name,
-    )
-    backend = RecordedBackend.from_fixture(
-        str(fx / "mock_responses.ndjson"), list(store.sentences.values())
-    )
-    triples, errors = extract_batch(kept, prompt_cfg, backend, concurrency=cfg.concurrency_limit)
-    for triple in triples:
-        store.add_triple(triple)
-    for sentence_id, error in errors:
-        log.warning("extraction failed for %s: %s", sentence_id, error)
-
-    result = resolve(store.referenced_names(), threshold=cfg.resolution_threshold)
-    store.alias_map = dict(result.alias_map)
+    _ingest_demo_inputs(store)
+    extracted = _extract(store, cfg, "recorded", str(fx / "mock_responses.ndjson"))
+    _resolve(store, cfg)
     save_store(store, store_dir)
 
     sampler = FactorSampler(seed=cfg.sampler_seed)
-    factors = load_factor_table(str(fx / "factors_demo.ndjson"), fallback=sampler)
-    graph, build_report = build_graph(store, store.alias_map, factors)
-    for ref, reason in build_report.skipped:
-        log.info("graph build skipped %s: %s", ref, reason)
+    graph, _ = _build(store, load_factor_table(str(fx / "factors_demo.ndjson"), fallback=sampler))
     report = propagate(graph, mode=cfg.propagation_mode)
 
     graph_path = str(out_dir / "graph.json")
@@ -355,7 +358,7 @@ def cmd_demo(args, cfg: Config) -> int:
     save_report_json(report, str(out_dir / "report.json"))
 
     print(f"demo: {len(store.records)} shipments, {len(store.sentences)} sentences, "
-          f"{len(triples)} extracted relations, {len(graph.nodes)} companies, "
+          f"{extracted['triples']} extracted relations, {len(graph.nodes)} companies, "
           f"{len(graph.edges)} edges")
     print()
     print("Top companies by retained liability (kg CO2e):")

@@ -31,6 +31,29 @@ def is_placeholder(text: str | None) -> bool:
     return stripped.startswith("<") and stripped.endswith(">") and len(stripped) > 2
 
 
+def read_ndjson(path: str, error: type[Exception], what: str = "row", required: tuple[str, ...] = ()):
+    """Yield ``(lineno, row)`` for each non-blank line of an ndjson file.
+
+    Every line-delimited input goes through here. A line that is not JSON,
+    a row that is not an object, or a row without one of ``required`` raises
+    ``error`` naming ``path:lineno``, so the caller picks the exit code.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+            if not isinstance(row, dict):
+                raise error(f"{path}:{lineno}: malformed {what}: not a JSON object")
+            for key in required:
+                if key not in row:
+                    raise error(f"{path}:{lineno}: missing field {key!r}")
+            yield lineno, row
+
+
 @dataclass
 class CompanyRef:
     """A company name as it appeared in a source, plus resolution state."""
@@ -40,7 +63,7 @@ class CompanyRef:
     role_hint: str = "unknown"
 
     def __post_init__(self):
-        if not self.raw_name or not self.raw_name.strip():
+        if not isinstance(self.raw_name, str) or not self.raw_name.strip():
             raise ValueError("CompanyRef.raw_name must be non-empty")
         self.raw_name = self.raw_name.strip()
         if self.role_hint not in ROLES:

@@ -8,13 +8,13 @@ never hallucinates a value for a null gold slot.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import TransactionTriple, CompanyRef
+from .core import CompanyRef, TransactionTriple, read_ndjson
 from .errors import InputError
+from .graph import QueryResult
 
 FIELDS = ("buyer", "supplier", "item")
 
@@ -141,14 +141,7 @@ def render_metrics_table(metrics: dict[str, FieldMetrics]) -> str:
         )
         for f, m in ((f, metrics[f]) for f in FIELDS)
     ]
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    return QueryResult(headers, rows).render()
 
 
 def metrics_to_dict(metrics: dict[str, FieldMetrics]) -> dict:
@@ -173,25 +166,18 @@ def load_triples_flat(path: str) -> list[TransactionTriple]:
     format, unlike the richer store schema.
     """
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: malformed line: {exc.msg}") from exc
-            if "source_id" not in row:
-                raise InputError(f"{path}:{lineno}: missing source_id")
-            triples.append(
-                TransactionTriple(
-                    buyer=CompanyRef(row["buyer"], role_hint="buyer") if row.get("buyer") else None,
-                    supplier=CompanyRef(row["supplier"], role_hint="supplier")
-                    if row.get("supplier")
-                    else None,
-                    item=row.get("item"),
-                    source_id=row["source_id"],
-                    confidence=float(row.get("confidence", 1.0)),
-                )
+    for lineno, row in read_ndjson(path, InputError, "triple row", ("source_id",)):
+        try:
+            triple = TransactionTriple(
+                buyer=CompanyRef(row["buyer"], role_hint="buyer") if row.get("buyer") else None,
+                supplier=CompanyRef(row["supplier"], role_hint="supplier")
+                if row.get("supplier")
+                else None,
+                item=row.get("item"),
+                source_id=row["source_id"],
+                confidence=float(row.get("confidence", 1.0)),
             )
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}:{lineno}: malformed triple row: {exc}") from exc
+        triples.append(triple)
     return triples

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from .core import CompanyRef, Sentence, TransactionTriple
+from .core import CompanyRef, Sentence, TransactionTriple, read_ndjson
 from .errors import (
     BackendError,
     ConfigError,
@@ -120,11 +120,11 @@ class PromptConfig:
 def load_examples(path: str) -> list[FewShotExample]:
     """Read few-shot pairs from an ndjson file of {"input", "output"} rows."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                row = json.loads(line)
-                examples.append(FewShotExample(input=row["input"], output=row["output"]))
+    for lineno, row in read_ndjson(path, SchemaError, "example row", ("input", "output")):
+        try:
+            examples.append(FewShotExample(input=row["input"], output=row["output"]))
+        except (ExtractionFormatError, ValueError) as exc:
+            raise SchemaError(f"{path}:{lineno}: malformed example row: {exc}") from exc
     return examples
 
 
@@ -232,19 +232,12 @@ class RecordedBackend:
     @classmethod
     def from_fixture(cls, fixture_path: str, sentences: list[Sentence]) -> "RecordedBackend":
         by_id: dict[str, str] = {}
-        with open(fixture_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    by_id[row["sentence_id"]] = row["response_text"]
-                except KeyError as exc:
-                    raise SchemaError(f"{fixture_path}:{lineno}: missing field {exc}") from exc
-                except (TypeError, ValueError) as exc:
-                    raise SchemaError(
-                        f"{fixture_path}:{lineno}: malformed fixture row: {exc}"
-                    ) from exc
+        required = ("sentence_id", "response_text")
+        for lineno, row in read_ndjson(fixture_path, SchemaError, "fixture row", required):
+            try:
+                by_id[row["sentence_id"]] = row["response_text"]
+            except TypeError as exc:
+                raise SchemaError(f"{fixture_path}:{lineno}: malformed fixture row: {exc}") from exc
         text_of = {s.id: s.text for s in sentences}
         responses = {text_of[sid]: resp for sid, resp in by_id.items() if sid in text_of}
         return cls(responses)

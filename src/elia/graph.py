@@ -32,7 +32,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .core import EmissionFactor
+from .core import EmissionFactor, read_ndjson
 from .errors import CycleError, NodeNotFoundError, SchemaError, UsageError
 from .resolution import normalize_name
 from .store import DatasetStore
@@ -140,18 +140,12 @@ class FactorTable:
 def load_factor_table(path: str, fallback: FactorSampler | EmissionFactor | None = None) -> FactorTable:
     """Read ndjson rows {"item_pattern", "per_kg_co2e", "provenance"}."""
     rules = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                factor = EmissionFactor(float(row["per_kg_co2e"]), row.get("provenance", "table"))
-                rules.append((row["item_pattern"], factor))
-            except KeyError as exc:
-                raise SchemaError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}:{lineno}: malformed factor row: {exc}") from exc
+    for lineno, row in read_ndjson(path, SchemaError, "factor row", ("item_pattern", "per_kg_co2e")):
+        try:
+            factor = EmissionFactor(float(row["per_kg_co2e"]), row.get("provenance", "table"))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}:{lineno}: malformed factor row: {exc}") from exc
+        rules.append((row["item_pattern"], factor))
     return FactorTable(rules=rules, fallback=fallback)
 
 

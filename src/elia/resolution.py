@@ -13,6 +13,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .core import read_ndjson
+from .errors import SchemaError
+
 CORPORATE_SUFFIXES = frozenset(
     {"LTD", "INC", "LLC", "CO", "CORP", "JSC", "PLC", "GMBH", "SA", "AG", "BV", "NV", "SRL"}
 )
@@ -177,15 +180,7 @@ def apply_overrides(result: ResolutionResult, overrides: dict[str, str]) -> Reso
 
 def load_overrides(path: str) -> dict[str, str]:
     """Read a manual override file: ndjson rows {"raw": ..., "canonical": ...}."""
-    import json
-
     overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            if "raw" not in row or "canonical" not in row:
-                raise ValueError(f"{path}:{lineno}: override rows need 'raw' and 'canonical'")
-            overrides[row["raw"]] = row["canonical"]
+    for _, row in read_ndjson(path, SchemaError, "override row", ("raw", "canonical")):
+        overrides[row["raw"]] = row["canonical"]
     return overrides

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .core import Sentence, ShipmentRecord, TransactionTriple
+from .core import Sentence, ShipmentRecord, TransactionTriple, read_ndjson
 from .errors import DuplicateIdError, StoreFormatError, StoreVersionError
 
 FORMAT_VERSION = 1
@@ -88,21 +88,6 @@ def _write_ndjson(path: str, rows) -> None:
             fh.write("\n")
 
 
-def _read_ndjson(path: str) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise StoreFormatError(
-                    f"{path}:{lineno}: malformed line (offset {exc.pos}): {exc.msg}"
-                ) from exc
-    return rows
-
-
 def save_store(store: DatasetStore, path: str) -> None:
     """Write the store to ``path`` (a directory, created if missing)."""
     os.makedirs(path, exist_ok=True)
@@ -143,19 +128,24 @@ def load_store(path: str) -> DatasetStore:
         )
 
     store = DatasetStore()
-    for d in _read_ndjson(os.path.join(path, RECORDS_FILE)):
-        store.add_record(_from_dict_checked(ShipmentRecord, d, path, RECORDS_FILE))
-    for d in _read_ndjson(os.path.join(path, SENTENCES_FILE)):
-        store.add_sentence(_from_dict_checked(Sentence, d, path, SENTENCES_FILE))
-    for d in _read_ndjson(os.path.join(path, TRIPLES_FILE)):
-        store.add_triple(_from_dict_checked(TransactionTriple, d, path, TRIPLES_FILE))
-    for d in _read_ndjson(os.path.join(path, ALIASES_FILE)):
+    for record in _load_rows(path, RECORDS_FILE, ShipmentRecord):
+        store.add_record(record)
+    for sentence in _load_rows(path, SENTENCES_FILE, Sentence):
+        store.add_sentence(sentence)
+    for triple in _load_rows(path, TRIPLES_FILE, TransactionTriple):
+        store.add_triple(triple)
+    aliases_path = os.path.join(path, ALIASES_FILE)
+    for _, d in read_ndjson(aliases_path, StoreFormatError, required=("raw", "canonical_id")):
         store.alias_map[d["raw"]] = d["canonical_id"]
     return store
 
 
-def _from_dict_checked(cls, d: dict, path: str, name: str):
-    try:
-        return cls.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreFormatError(f"{os.path.join(path, name)}: bad row {d!r}: {exc}") from exc
+def _load_rows(path: str, name: str, cls):
+    """Yield ``cls.from_dict`` of each row of one store file."""
+    file_path = os.path.join(path, name)
+    for lineno, d in read_ndjson(file_path, StoreFormatError):
+        try:
+            item = cls.from_dict(d)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StoreFormatError(f"{file_path}:{lineno}: bad row {d!r}: {exc}") from exc
+        yield item

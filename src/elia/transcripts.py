@@ -83,14 +83,19 @@ class Gazetteer:
         object.__setattr__(self, "_matchers", _compile_matchers(entries))
 
 
-def load_gazetteer(path: str, suffixes: frozenset[str] = DEFAULT_SUFFIXES) -> Gazetteer:
+def read_gazetteer_names(path: str) -> set[str]:
     """Read a gazetteer file: one company name per line, # starts a comment."""
-    entries = set()
+    names = set()
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         name = line.split("#", 1)[0].strip()
         if name:
-            entries.add(name)
-    return Gazetteer(entries=entries, suffixes=suffixes)
+            names.add(name)
+    return names
+
+
+def load_gazetteer(path: str, suffixes: frozenset[str] = DEFAULT_SUFFIXES) -> Gazetteer:
+    """A ``Gazetteer`` over the names of a gazetteer file."""
+    return Gazetteer(entries=read_gazetteer_names(path), suffixes=suffixes)
 
 
 def gazetteer_from_store(store: DatasetStore, extra: tuple[str, ...] = ()) -> Gazetteer:

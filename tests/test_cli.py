@@ -6,6 +6,7 @@ import json
 import pytest
 from conftest import fixture_path
 
+from elia import transcripts
 from elia.cli import main
 from elia.exporter import import_graph_json
 from elia.store import load_store
@@ -229,3 +230,43 @@ def test_demo_outputs_match_golden(tmp_path, capsys):
         if name != "stdout":
             digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
     assert digests == DEMO_GOLDEN
+
+
+@pytest.mark.parametrize("argv, target, content, code, reason", [
+    pytest.param(["extract", "--examples", "BAD"], "examples.ndjson",
+                 '{"input": "a", "output": "Buyer: A, Supplier: B, Item: c"}\n{"input": "a"}\n',
+                 1, ":2: missing field 'output'", id="examples-missing-field"),
+    pytest.param(["extract", "--examples", "BAD"], "examples.ndjson",
+                 '{"input": "a", "output": "b"}\n',
+                 1, ":1: malformed example row", id="examples-bad-output"),
+    pytest.param(["resolve", "--overrides", "BAD"], "overrides.ndjson",
+                 '{"raw": "A", "canonical": "B"}\n{"raw": \n',
+                 1, ":2: malformed override row", id="overrides-bad-json"),
+    pytest.param(["eval", "--pred", "BAD", "--gold", "BAD"], "triples.ndjson",
+                 '{"source_id": "s1", "item": "x"}\n"s2"\n',
+                 1, ":2: malformed triple row", id="eval-row-not-object"),
+    pytest.param(["resolve"], "store/aliases.ndjson",
+                 '{"raw": "A", "canonical_id": "c1"}\n{"raw": "B"}\n',
+                 2, ":2: missing field 'canonical_id'", id="store-aliases-missing-field"),
+])
+def test_malformed_ndjson_input_names_path_and_line(tmp_path, caplog, argv, target, content,
+                                                     code, reason):
+    store = tmp_path / "store"
+    assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0
+    bad = tmp_path / target
+    bad.write_text(content)
+    argv = [bad if arg == "BAD" else arg for arg in argv]
+    assert run("--store", store, *argv) == code
+    assert f"{bad}{reason}" in caplog.text
+
+
+def test_ingest_transcripts_compiles_one_gazetteer(tmp_path, monkeypatch):
+    compiled = []
+    compile_matchers = transcripts._compile_matchers
+    monkeypatch.setattr(transcripts, "_compile_matchers",
+                        lambda entries: compiled.append(entries) or compile_matchers(entries))
+    fx = fixture_path()
+    code = run("--store", tmp_path / "store", "ingest-transcripts",
+               *sorted((fx / "transcripts").glob("*.txt")), "--gazetteer", fx / "gazetteer.txt")
+    assert code == 0
+    assert len(compiled) == 1
