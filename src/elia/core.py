@@ -31,12 +31,14 @@ def is_placeholder(text: str | None) -> bool:
     return stripped.startswith("<") and stripped.endswith(">") and len(stripped) > 2
 
 
-def read_ndjson(path: str, error: type[Exception], what: str = "row", required: tuple[str, ...] = ()):
+def read_ndjson(path: str, error: type[Exception], what: str = "row",
+                required: dict[str, type] | None = None):
     """Yield ``(lineno, row)`` for each non-blank line of an ndjson file.
 
     Every line-delimited input goes through here. A line that is not JSON,
-    a row that is not an object, or a row without one of ``required`` raises
-    ``error`` naming ``path:lineno``, so the caller picks the exit code.
+    a row that is not an object, or a row without a field of ``required``
+    (field name -> type) raises ``error`` naming ``path:lineno``, so the
+    caller picks the exit code.
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -48,9 +50,13 @@ def read_ndjson(path: str, error: type[Exception], what: str = "row", required: 
                 raise error(f"{path}:{lineno}: malformed {what}: {exc}") from exc
             if not isinstance(row, dict):
                 raise error(f"{path}:{lineno}: malformed {what}: not a JSON object")
-            for key in required:
+            for key, kind in (required or {}).items():
                 if key not in row:
                     raise error(f"{path}:{lineno}: missing field {key!r}")
+                if not isinstance(row[key], kind):
+                    raise error(
+                        f"{path}:{lineno}: malformed {what}: {key!r} is not {kind.__name__}"
+                    )
             yield lineno, row
 
 

@@ -166,7 +166,7 @@ def load_triples_flat(path: str) -> list[TransactionTriple]:
     format, unlike the richer store schema.
     """
     triples = []
-    for lineno, row in read_ndjson(path, InputError, "triple row", ("source_id",)):
+    for lineno, row in read_ndjson(path, InputError, "triple row", {"source_id": str}):
         try:
             triple = TransactionTriple(
                 buyer=CompanyRef(row["buyer"], role_hint="buyer") if row.get("buyer") else None,

@@ -120,7 +120,8 @@ class PromptConfig:
 def load_examples(path: str) -> list[FewShotExample]:
     """Read few-shot pairs from an ndjson file of {"input", "output"} rows."""
     examples = []
-    for lineno, row in read_ndjson(path, SchemaError, "example row", ("input", "output")):
+    required = {"input": str, "output": str}
+    for lineno, row in read_ndjson(path, SchemaError, "example row", required):
         try:
             examples.append(FewShotExample(input=row["input"], output=row["output"]))
         except (ExtractionFormatError, ValueError) as exc:
@@ -232,12 +233,9 @@ class RecordedBackend:
     @classmethod
     def from_fixture(cls, fixture_path: str, sentences: list[Sentence]) -> "RecordedBackend":
         by_id: dict[str, str] = {}
-        required = ("sentence_id", "response_text")
-        for lineno, row in read_ndjson(fixture_path, SchemaError, "fixture row", required):
-            try:
-                by_id[row["sentence_id"]] = row["response_text"]
-            except TypeError as exc:
-                raise SchemaError(f"{fixture_path}:{lineno}: malformed fixture row: {exc}") from exc
+        required = {"sentence_id": str, "response_text": str}
+        for _, row in read_ndjson(fixture_path, SchemaError, "fixture row", required):
+            by_id[row["sentence_id"]] = row["response_text"]
         text_of = {s.id: s.text for s in sentences}
         responses = {text_of[sid]: resp for sid, resp in by_id.items() if sid in text_of}
         return cls(responses)

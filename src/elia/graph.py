@@ -140,7 +140,8 @@ class FactorTable:
 def load_factor_table(path: str, fallback: FactorSampler | EmissionFactor | None = None) -> FactorTable:
     """Read ndjson rows {"item_pattern", "per_kg_co2e", "provenance"}."""
     rules = []
-    for lineno, row in read_ndjson(path, SchemaError, "factor row", ("item_pattern", "per_kg_co2e")):
+    required = {"item_pattern": str, "per_kg_co2e": object}
+    for lineno, row in read_ndjson(path, SchemaError, "factor row", required):
         try:
             factor = EmissionFactor(float(row["per_kg_co2e"]), row.get("provenance", "table"))
         except (TypeError, ValueError) as exc:

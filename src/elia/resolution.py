@@ -181,6 +181,7 @@ def apply_overrides(result: ResolutionResult, overrides: dict[str, str]) -> Reso
 def load_overrides(path: str) -> dict[str, str]:
     """Read a manual override file: ndjson rows {"raw": ..., "canonical": ...}."""
     overrides = {}
-    for _, row in read_ndjson(path, SchemaError, "override row", ("raw", "canonical")):
+    required = {"raw": str, "canonical": str}
+    for _, row in read_ndjson(path, SchemaError, "override row", required):
         overrides[row["raw"]] = row["canonical"]
     return overrides

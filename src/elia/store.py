@@ -135,7 +135,8 @@ def load_store(path: str) -> DatasetStore:
     for triple in _load_rows(path, TRIPLES_FILE, TransactionTriple):
         store.add_triple(triple)
     aliases_path = os.path.join(path, ALIASES_FILE)
-    for _, d in read_ndjson(aliases_path, StoreFormatError, required=("raw", "canonical_id")):
+    for _, d in read_ndjson(aliases_path, StoreFormatError,
+                            required={"raw": str, "canonical_id": str}):
         store.alias_map[d["raw"]] = d["canonical_id"]
     return store
 

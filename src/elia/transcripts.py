@@ -85,12 +85,12 @@ class Gazetteer:
 
 def read_gazetteer_names(path: str) -> set[str]:
     """Read a gazetteer file: one company name per line, # starts a comment."""
-    names = set()
+    entries = set()
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         name = line.split("#", 1)[0].strip()
         if name:
-            names.add(name)
-    return names
+            entries.add(name)
+    return entries
 
 
 def load_gazetteer(path: str, suffixes: frozenset[str] = DEFAULT_SUFFIXES) -> Gazetteer:

@@ -242,6 +242,9 @@ def test_demo_outputs_match_golden(tmp_path, capsys):
     pytest.param(["resolve", "--overrides", "BAD"], "overrides.ndjson",
                  '{"raw": "A", "canonical": "B"}\n{"raw": \n',
                  1, ":2: malformed override row", id="overrides-bad-json"),
+    pytest.param(["resolve", "--overrides", "BAD"], "overrides.ndjson",
+                 '{"raw": ["A"], "canonical": "B"}\n',
+                 1, ":1: malformed override row: 'raw' is not str", id="overrides-field-type"),
     pytest.param(["eval", "--pred", "BAD", "--gold", "BAD"], "triples.ndjson",
                  '{"source_id": "s1", "item": "x"}\n"s2"\n',
                  1, ":2: malformed triple row", id="eval-row-not-object"),

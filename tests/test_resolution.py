@@ -216,8 +216,9 @@ def test_override_to_fresh_name_creates_entity():
 
 def test_alias_map_order_independent_of_hash_seed():
     # One cluster of many spellings: set iteration order would differ by seed.
-    names = ["Apex Steelworks", "APEX STEELWORKS LLC", "apex steelworks, llc", "Apex Steelworks Inc",
-             "APEX STEELWORKS CO", "Apex  Steelworks Ltd", "APEX STEELWORKS CORP", "Other Firm"]
+    names = ["Apex Steelworks", "APEX STEELWORKS LLC", "apex steelworks, llc",
+             "Apex Steelworks Inc", "APEX STEELWORKS CO", "Apex  Steelworks Ltd",
+             "APEX STEELWORKS CORP", "Other Firm"]
     script = (
         "import json, sys; from elia.resolution import resolve; "
         "print(json.dumps(list(resolve(json.loads(sys.argv[1])).alias_map.items())))"
