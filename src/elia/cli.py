@@ -48,7 +48,14 @@ from .extraction import (
     extract_batch,
     load_examples,
 )
-from .graph import FactorSampler, build_graph, load_factor_table, propagate, query
+from .graph import (
+    DEFAULT_TOLERANCE,
+    FactorSampler,
+    build_graph,
+    load_factor_table,
+    propagate,
+    query,
+)
 from .resolution import apply_overrides, load_overrides, resolve
 from .store import load_store, new_store, save_store
 from .transcripts import (
@@ -264,6 +271,11 @@ def cmd_propagate(args, cfg: Config) -> int:
     graph = import_graph_json(graph_path)
     mode = args.mode or cfg.propagation_mode
     report = propagate(graph, mode=mode, on_cycle=args.on_cycle)
+    if not report.residual < DEFAULT_TOLERANCE:
+        raise CycleError(
+            f"propagation did not converge: residual {report.residual:.3e} is not below "
+            f"tolerance {DEFAULT_TOLERANCE:.0e}; no report written"
+        )
     out = args.out or os.path.join(args.store, REPORT_FILE)
     save_report_json(report, out)
     total_retained = sum(r.retained_kg for r in report.nodes.values())

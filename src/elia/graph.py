@@ -14,9 +14,15 @@ Propagation modes:
   T(u) = direct(u) + sum over incoming edges of (edge liability +
   allocated share), then passes the whole pool downstream, allocating it
   across outgoing edges proportionally to shipped mass. Nodes without
-  outgoing mass retain their pool. On a DAG this is a single pass in
-  topological order; with cycles it is (optionally) a damped fixed-point
-  iteration.
+  outgoing mass retain their pool. The graph is condensed into strongly
+  connected components (Tarjan, iterative) that are visited upstream
+  first. A node on no cycle is pooled and allocated once. A cyclic
+  component (several nodes, or one node with a self-loop) is an error by
+  default; with ``on_cycle="iterate"`` its inflow from upstream is frozen
+  and a damped fixed-point iteration runs over that component alone. The
+  report's residual is the largest final per-node change over the cyclic
+  components: 0 on a DAG, and at or above the tolerance when some
+  component did not converge.
 
 The mass-proportional allocation rule is this library's documented
 convention for multi-hop accounting; only the one-hop computation is
@@ -28,7 +34,7 @@ from __future__ import annotations
 import fnmatch
 import json
 import random
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -38,6 +44,7 @@ from .resolution import normalize_name
 from .store import DatasetStore
 
 MODES = ("one_hop", "full_propagation")
+DEFAULT_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -322,74 +329,107 @@ def _adjacency(graph: SupplyGraph):
     return incoming, outgoing
 
 
-def _topological_order(graph: SupplyGraph, outgoing) -> list[str] | None:
-    """Kahn's algorithm with sorted tie-breaking; None when cyclic."""
-    indegree = {nid: 0 for nid in graph.nodes}
-    for edge in graph.edges:
-        indegree[edge.target] += 1
-    ready = sorted(nid for nid, deg in indegree.items() if deg == 0)
-    order: list[str] = []
-    while ready:
-        nid = ready.pop(0)
-        order.append(nid)
-        newly_ready = []
-        for edge in outgoing[nid]:
-            indegree[edge.target] -= 1
-            if indegree[edge.target] == 0:
-                newly_ready.append(edge.target)
-        for t in sorted(set(newly_ready)):
-            if t not in ready:
-                ready.append(t)
-        ready.sort()
-    if len(order) != len(graph.nodes):
-        return None
-    return order
+def _components(graph: SupplyGraph, outgoing) -> list[list[str]]:
+    """Strongly connected components, upstream first (iterative Tarjan).
 
-
-def _find_cycle(graph: SupplyGraph, outgoing) -> list[str]:
-    """One directed cycle, for the strict-mode error message."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in graph.nodes}
+    Tarjan's algorithm closes a component only after every component it
+    reaches, so the reversed emission order is a topological order of the
+    condensation. An explicit stack keeps long chains and rings from
+    hitting the interpreter's recursion limit.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
     stack: list[str] = []
+    components: list[list[str]] = []
+    for root in graph.nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(outgoing[root]))]
+        while work:
+            nid, edges = work[-1]
+            for edge in edges:
+                nxt = edge.target
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(outgoing[nxt])))
+                    break
+                if nxt in on_stack and index[nxt] < low[nid]:
+                    low[nid] = index[nxt]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[nid] < low[parent]:
+                        low[parent] = low[nid]
+                if low[nid] == index[nid]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == nid:
+                            break
+                    components.append(component)
+    components.reverse()
+    return components
 
-    def dfs(nid: str) -> list[str] | None:
-        color[nid] = GRAY
-        stack.append(nid)
+
+def _is_cyclic(component: list[str], outgoing) -> bool:
+    if len(component) > 1:
+        return True
+    nid = component[0]
+    return any(edge.target == nid for edge in outgoing[nid])
+
+
+def _cycle_in(component: list[str], outgoing) -> list[str]:
+    """A shortest closed path through the component's smallest node id."""
+    members = set(component)
+    start = min(component)
+    parent: dict[str, str] = {}
+    queue = deque([start])
+    while queue:
+        nid = queue.popleft()
         for edge in outgoing[nid]:
             nxt = edge.target
-            if color[nxt] == GRAY:
-                return stack[stack.index(nxt) :] + [nxt]
-            if color[nxt] == WHITE:
-                found = dfs(nxt)
-                if found:
-                    return found
-        color[nid] = BLACK
-        stack.pop()
-        return None
-
-    for nid in sorted(graph.nodes):
-        if color[nid] == WHITE:
-            found = dfs(nid)
-            if found:
-                return found
-    return []
+            if nxt == start:
+                path = [nid]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                return path[::-1] + [start]
+            if nxt in members and nxt not in parent:
+                parent[nxt] = nid
+                queue.append(nxt)
+    raise AssertionError(f"component through {start} has no cycle")
 
 
 def propagate(
     graph: SupplyGraph,
     mode: str = "full_propagation",
     on_cycle: str = "error",
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = 1000,
     damping: float = 1.0,
 ) -> ELiabilityReport:
     """Compute per-node direct / inherited / transferred / retained totals.
 
-    ``on_cycle`` selects strict behavior ("error", the default: raise
-    CycleError naming one cycle) or damped fixed-point iteration
-    ("iterate": repeat the pool equations until the largest per-node change
-    drops below ``tolerance`` or ``max_iterations`` is hit; the final change
-    is reported as the residual). Acyclic graphs always report residual 0.
+    Full propagation condenses the graph into strongly connected components
+    and visits them upstream first. A component that is one node without a
+    self-loop is pooled and allocated once. A cyclic component (several
+    nodes, or one with a self-loop) is handled by ``on_cycle``: "error"
+    (the default) raises CycleError naming one closed path as soon as any
+    cyclic component exists; "iterate" freezes the component's inflow from
+    upstream and runs the damped fixed-point iteration of the pool
+    equations over the component alone, until its largest per-node change
+    drops below ``tolerance`` or ``max_iterations`` is hit. The reported
+    residual is the largest final change over all cyclic components, so an
+    acyclic graph reports 0 and ``residual >= tolerance`` means some
+    component did not converge (a closed cycle with no outflow never does).
     """
     if mode not in MODES:
         raise UsageError(f"unknown propagation mode: {mode!r} (expected one of {MODES})")
@@ -410,17 +450,25 @@ def propagate(
             )
         return ELiabilityReport(mode=mode, residual=0.0, nodes=rows)
 
-    order = _topological_order(graph, outgoing)
-    if order is not None:
-        share = _acyclic_shares(graph, incoming, outgoing, order)
-        residual = 0.0
-    elif on_cycle == "error":
-        cycle = _find_cycle(graph, outgoing)
+    components = _components(graph, outgoing)
+    cyclic = [_is_cyclic(component, outgoing) for component in components]
+    if on_cycle == "error" and any(cyclic):
+        cycle = _cycle_in(components[cyclic.index(True)], outgoing)
         raise CycleError(f"graph contains a cycle: {' -> '.join(cycle)}", cycle=cycle)
-    else:
-        share, residual = _fixed_point_shares(
-            graph, incoming, outgoing, tolerance, max_iterations, damping
-        )
+
+    share: dict[str, float] = {e.edge_id: 0.0 for e in graph.edges}
+    residual = 0.0
+    for component, is_cyclic in zip(components, cyclic):
+        if is_cyclic:
+            residual = max(residual, _iterate_component(
+                graph, component, incoming, outgoing, share, tolerance, max_iterations, damping
+            ))
+        else:
+            (nid,) = component
+            pool = graph.nodes[nid].direct_emissions_kg + sum(
+                e.edge_liability_kg + share[e.edge_id] for e in incoming[nid]
+            )
+            share.update(_allocate(pool, outgoing[nid]))
 
     rows = {}
     for nid, node in graph.nodes.items():
@@ -442,39 +490,50 @@ def _allocate(pool: float, edges: list[Edge]) -> dict[str, float]:
     return {e.edge_id: pool * (e.mass_kg / out_mass) for e in edges}
 
 
-def _acyclic_shares(graph: SupplyGraph, incoming, outgoing, order) -> dict[str, float]:
-    share: dict[str, float] = {e.edge_id: 0.0 for e in graph.edges}
-    for nid in order:
-        node = graph.nodes[nid]
-        pool = node.direct_emissions_kg + sum(
-            e.edge_liability_kg + share[e.edge_id] for e in incoming[nid]
-        )
-        share.update(_allocate(pool, outgoing[nid]))
-    return share
+def _iterate_component(graph, component, incoming, outgoing, share, tolerance, max_iterations,
+                       damping) -> float:
+    """Damped Jacobi iteration of the pool equations inside one cyclic component.
 
+    Inflow from upstream components is final by now, so it is frozen into a
+    per-node base together with every incoming edge liability; only the
+    shares passed along inner edges are iterated. Once the largest per-node
+    change drops below ``tolerance`` (or ``max_iterations`` is hit) the
+    pools are allocated onto every outgoing edge of the component, and the
+    final change is returned as the component's residual.
+    """
+    local = {nid: i for i, nid in enumerate(component)}
+    out_mass = {nid: sum(e.mass_kg for e in outgoing[nid]) for nid in component}
+    base: list[float] = []
+    inner: list[list[tuple[int, float]]] = []
+    for nid in component:
+        pool = graph.nodes[nid].direct_emissions_kg
+        terms = []
+        for e in incoming[nid]:
+            j = local.get(e.source)
+            if j is None:
+                pool += e.edge_liability_kg + share[e.edge_id]
+                continue
+            pool += e.edge_liability_kg
+            if out_mass[e.source] > 0.0:
+                terms.append((j, e.mass_kg / out_mass[e.source]))
+        base.append(pool)
+        inner.append(terms)
 
-def _fixed_point_shares(graph, incoming, outgoing, tolerance, max_iterations, damping):
-    pools = {nid: 0.0 for nid in graph.nodes}
-    share = {e.edge_id: 0.0 for e in graph.edges}
+    pools = [0.0] * len(component)
     residual = float("inf")
-    node_ids = sorted(graph.nodes)
+    keep = 1.0 - damping
     for _ in range(max_iterations):
-        new_pools = {}
-        for nid in node_ids:
-            computed = graph.nodes[nid].direct_emissions_kg + sum(
-                e.edge_liability_kg + share[e.edge_id] for e in incoming[nid]
-            )
-            new_pools[nid] = (1.0 - damping) * pools[nid] + damping * computed
-        residual = max(
-            (abs(new_pools[nid] - pools[nid]) for nid in node_ids), default=0.0
-        )
+        new_pools = [
+            keep * old + damping * (b + sum(pools[j] * frac for j, frac in terms))
+            for old, b, terms in zip(pools, base, inner)
+        ]
+        residual = max(abs(new - old) for new, old in zip(new_pools, pools))
         pools = new_pools
-        share = {}
-        for nid in node_ids:
-            share.update(_allocate(pools[nid], outgoing[nid]))
         if residual < tolerance:
             break
-    return share, residual
+    for nid, pool in zip(component, pools):
+        share.update(_allocate(pool, outgoing[nid]))
+    return residual
 
 
 @dataclass

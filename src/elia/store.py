@@ -128,12 +128,9 @@ def load_store(path: str) -> DatasetStore:
         )
 
     store = DatasetStore()
-    for record in _load_rows(path, RECORDS_FILE, ShipmentRecord):
-        store.add_record(record)
-    for sentence in _load_rows(path, SENTENCES_FILE, Sentence):
-        store.add_sentence(sentence)
-    for triple in _load_rows(path, TRIPLES_FILE, TransactionTriple):
-        store.add_triple(triple)
+    _load_rows(path, RECORDS_FILE, ShipmentRecord, store.add_record)
+    _load_rows(path, SENTENCES_FILE, Sentence, store.add_sentence)
+    _load_rows(path, TRIPLES_FILE, TransactionTriple, store.add_triple)
     aliases_path = os.path.join(path, ALIASES_FILE)
     for _, d in read_ndjson(aliases_path, StoreFormatError,
                             required={"raw": str, "canonical_id": str}):
@@ -141,12 +138,19 @@ def load_store(path: str) -> DatasetStore:
     return store
 
 
-def _load_rows(path: str, name: str, cls):
-    """Yield ``cls.from_dict`` of each row of one store file."""
+def _load_rows(path: str, name: str, cls, add) -> None:
+    """Pass ``cls.from_dict`` of each row of one store file to ``add``.
+
+    A row that does not parse or repeats an id already loaded names the
+    file and line.
+    """
     file_path = os.path.join(path, name)
     for lineno, d in read_ndjson(file_path, StoreFormatError):
         try:
             item = cls.from_dict(d)
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreFormatError(f"{file_path}:{lineno}: bad row {d!r}: {exc}") from exc
-        yield item
+        try:
+            add(item)
+        except DuplicateIdError as exc:
+            raise StoreFormatError(f"{file_path}:{lineno}: duplicate row: {exc}") from exc

@@ -8,6 +8,10 @@ equations and topological pass: it injects every direct-emission amount and
 every edge liability at its node, then walks all downstream paths,
 multiplying mass fractions along the way. Exponential in path count, which
 is fine for the small random graphs used in tests.
+
+The full-propagation oracle is the original whole-graph implementation:
+Kahn's sort with sorted tie-breaking for an acyclic graph, otherwise a
+damped Jacobi iteration that re-pools every node on every sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import re
 from collections import defaultdict
 
 from elia.core import EmissionFactor, Mention, Sentence
-from elia.graph import SupplyGraph
+from elia.graph import ELiabilityReport, NodeLiability, SupplyGraph
 from elia.transcripts import Gazetteer, _suffix_run_spans
 
 
@@ -79,6 +83,96 @@ def oracle_retained(graph: SupplyGraph) -> dict[str, float]:
         for node, fraction in distribute(start).items():
             retained[node] += amount * fraction
     return retained
+
+
+def oracle_propagate(graph: SupplyGraph, tolerance: float = 1e-9, max_iterations: int = 1000,
+                     damping: float = 1.0) -> ELiabilityReport:
+    """``propagate(graph, on_cycle="iterate", ...)`` as a whole-graph pass."""
+    incoming = {nid: [] for nid in graph.nodes}
+    outgoing = {nid: [] for nid in graph.nodes}
+    for edge in graph.edges:
+        incoming[edge.target].append(edge)
+        outgoing[edge.source].append(edge)
+    order = _oracle_topological_order(graph, outgoing)
+    if order is not None:
+        share = {e.edge_id: 0.0 for e in graph.edges}
+        for nid in order:
+            pool = graph.nodes[nid].direct_emissions_kg + sum(
+                e.edge_liability_kg + share[e.edge_id] for e in incoming[nid]
+            )
+            share.update(_oracle_allocate(pool, outgoing[nid]))
+        residual = 0.0
+    else:
+        share, residual = _oracle_fixed_point_shares(
+            graph, incoming, outgoing, tolerance, max_iterations, damping
+        )
+
+    rows = {}
+    for nid, node in graph.nodes.items():
+        inherited = sum(e.edge_liability_kg + share[e.edge_id] for e in incoming[nid])
+        transferred = sum(share[e.edge_id] for e in outgoing[nid])
+        rows[nid] = NodeLiability(
+            direct_kg=node.direct_emissions_kg,
+            inherited_kg=inherited,
+            transferred_kg=transferred,
+            retained_kg=node.direct_emissions_kg + inherited - transferred,
+        )
+    return ELiabilityReport(mode="full_propagation", residual=residual, nodes=rows)
+
+
+def _oracle_allocate(pool: float, edges) -> dict[str, float]:
+    out_mass = sum(e.mass_kg for e in edges)
+    if out_mass <= 0.0:
+        return {e.edge_id: 0.0 for e in edges}
+    return {e.edge_id: pool * (e.mass_kg / out_mass) for e in edges}
+
+
+def _oracle_topological_order(graph: SupplyGraph, outgoing) -> list[str] | None:
+    """Kahn's algorithm with sorted tie-breaking; None when cyclic."""
+    indegree = {nid: 0 for nid in graph.nodes}
+    for edge in graph.edges:
+        indegree[edge.target] += 1
+    ready = sorted(nid for nid, deg in indegree.items() if deg == 0)
+    order: list[str] = []
+    while ready:
+        nid = ready.pop(0)
+        order.append(nid)
+        newly_ready = []
+        for edge in outgoing[nid]:
+            indegree[edge.target] -= 1
+            if indegree[edge.target] == 0:
+                newly_ready.append(edge.target)
+        for t in sorted(set(newly_ready)):
+            if t not in ready:
+                ready.append(t)
+        ready.sort()
+    if len(order) != len(graph.nodes):
+        return None
+    return order
+
+
+def _oracle_fixed_point_shares(graph, incoming, outgoing, tolerance, max_iterations, damping):
+    pools = {nid: 0.0 for nid in graph.nodes}
+    share = {e.edge_id: 0.0 for e in graph.edges}
+    residual = float("inf")
+    node_ids = sorted(graph.nodes)
+    for _ in range(max_iterations):
+        new_pools = {}
+        for nid in node_ids:
+            computed = graph.nodes[nid].direct_emissions_kg + sum(
+                e.edge_liability_kg + share[e.edge_id] for e in incoming[nid]
+            )
+            new_pools[nid] = (1.0 - damping) * pools[nid] + damping * computed
+        residual = max(
+            (abs(new_pools[nid] - pools[nid]) for nid in node_ids), default=0.0
+        )
+        pools = new_pools
+        share = {}
+        for nid in node_ids:
+            share.update(_oracle_allocate(pools[nid], outgoing[nid]))
+        if residual < tolerance:
+            break
+    return share, residual
 
 
 def random_multigraph(rng: random.Random, max_nodes: int = 8, max_edges: int = 16) -> SupplyGraph:

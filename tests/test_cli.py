@@ -8,7 +8,9 @@ from conftest import fixture_path
 
 from elia import transcripts
 from elia.cli import main
-from elia.exporter import import_graph_json
+from elia.core import EmissionFactor
+from elia.exporter import ExportOptions, export, import_graph_json
+from elia.graph import SupplyGraph
 from elia.store import load_store
 
 
@@ -161,6 +163,44 @@ def test_query_unknown_node_exits_1(tmp_path):
     run("--store", store, "resolve")
     run("--store", store, "build", "--constant-factor", "1.0")
     assert run("--store", store, "query", "breakdown", "--node", "NOT A COMPANY") == 1
+
+
+def write_graph(path, nodes, edges):
+    g = SupplyGraph()
+    for nid in nodes:
+        g.add_node(nid, nid.upper())
+    for source, target, mass, factor in edges:
+        g.add_edge(source, target, "x", mass, EmissionFactor(factor, "manual"))
+    export(g, None, ExportOptions(format="graph_json"), str(path))
+
+
+def test_propagate_long_ring_strict_exits_1(tmp_path, caplog):
+    graph = tmp_path / "graph.json"
+    ids = [f"r{i:04d}" for i in range(5000)]
+    write_graph(graph, ids, [(s, t, 1.0, 1.0) for s, t in zip(ids, ids[1:] + ids[:1])])
+    report = tmp_path / "report.json"
+    assert run("propagate", "--graph", graph, "--out", report) == 1
+    assert "graph contains a cycle: r0000 -> r0001 -> " in caplog.text
+    assert not report.exists()
+
+
+def test_propagate_unconverged_iterate_exits_1_without_report(tmp_path, caplog):
+    graph = tmp_path / "graph.json"
+    write_graph(graph, ["a", "b"], [("a", "b", 10.0, 1.0), ("b", "a", 10.0, 0.0)])
+    report = tmp_path / "report.json"
+    assert run("propagate", "--graph", graph, "--on-cycle", "iterate", "--out", report) == 1
+    assert "did not converge: residual 1.000e+01 is not below tolerance 1e-09" in caplog.text
+    assert not report.exists()
+
+
+def test_duplicate_store_row_names_file_and_line_exits_2(tmp_path, caplog):
+    store = tmp_path / "store"
+    assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0
+    records = store / "records.ndjson"
+    lines = records.read_text().splitlines(keepends=True)
+    records.write_text("".join(lines) + lines[0])
+    assert run("--store", store, "resolve") == 2
+    assert f"{records}:{len(lines) + 1}: duplicate row: record id already present" in caplog.text
 
 
 def test_demo_runs_offline(tmp_path, capsys):

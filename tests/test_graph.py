@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import oracle_retained, random_dag
+from oracles import oracle_propagate, oracle_retained, random_dag, random_multigraph
 
 from elia.core import CompanyRef, EmissionFactor, Sentence, TransactionTriple
 from elia.errors import CycleError, NodeNotFoundError, UsageError
@@ -352,6 +352,92 @@ def test_cycle_without_sink_reports_nonconvergence():
     # liability keeps circulating: no fixed point exists and the residual
     # must say so instead of pretending convergence
     assert report.residual >= 1.0
+
+
+def test_full_propagation_matches_whole_graph_oracle_on_dags():
+    rng = random.Random(1972)
+    for _ in range(150):
+        g = random_dag(rng)
+        expected = oracle_propagate(g).to_json()
+        assert propagate(g).to_json() == expected
+        assert propagate(g, on_cycle="iterate").to_json() == expected
+
+
+def test_iterate_matches_whole_graph_oracle_on_multigraphs():
+    rng = random.Random(1973)
+    cyclic_converged = 0
+    for _ in range(300):
+        g = random_multigraph(rng)
+        expected = oracle_propagate(g)
+        if not expected.residual < 1e-9:
+            continue  # a closed component: neither side has a fixed point
+        report = propagate(g, on_cycle="iterate")
+        assert report.residual < 1e-9
+        for nid in g.nodes:
+            assert math.isclose(
+                report.retained(nid), expected.retained(nid), rel_tol=1e-9, abs_tol=1e-9
+            )
+        try:
+            propagate(g)
+        except CycleError:
+            cyclic_converged += 1
+    assert cyclic_converged >= 30
+
+
+def self_loop_graph() -> SupplyGraph:
+    # T_a = 10 + T_a / 2  =>  T_a = 20, half of it reaches t
+    g = SupplyGraph()
+    for nid in ("s", "a", "t"):
+        g.add_node(nid, nid.upper())
+    g.add_edge("s", "a", "x", 10.0, EmissionFactor(1.0, "manual"))
+    g.add_edge("a", "a", "loop", 5.0, EmissionFactor(0.0, "manual"))
+    g.add_edge("a", "t", "y", 5.0, EmissionFactor(0.0, "manual"))
+    return g
+
+
+def cycles_in_series_graph() -> SupplyGraph:
+    # {a, b}: T_b = 10 + T_a, T_a = T_b / 2  =>  T_b = 20, 10 leaves to c
+    # {c, d}: T_c = 10 + T_d / 4, T_d = 2 + T_c  =>  T_c = 14, T_d = 16
+    g = SupplyGraph()
+    for nid in ("a", "b", "c", "d", "e"):
+        g.add_node(nid, nid.upper())
+    g.add_edge("a", "b", "x", 10.0, EmissionFactor(1.0, "manual"))
+    g.add_edge("b", "a", "y", 5.0, EmissionFactor(0.0, "manual"))
+    g.add_edge("b", "c", "z", 5.0, EmissionFactor(0.0, "manual"))
+    g.add_edge("c", "d", "w", 4.0, EmissionFactor(0.5, "manual"))
+    g.add_edge("d", "c", "v", 1.0, EmissionFactor(0.0, "manual"))
+    g.add_edge("d", "e", "u", 3.0, EmissionFactor(0.0, "manual"))
+    return g
+
+
+@pytest.mark.parametrize("make, damping, sink, retained, cycle", [
+    (self_loop_graph, 1.0, "t", 10.0, ["a", "a"]),
+    (cycles_in_series_graph, 1.0, "e", 12.0, ["a", "b", "a"]),
+    (cycles_in_series_graph, 0.5, "e", 12.0, ["a", "b", "a"]),
+])
+def test_cyclic_components_match_oracle(make, damping, sink, retained, cycle):
+    g = make()
+    report = propagate(g, on_cycle="iterate", tolerance=1e-12, damping=damping)
+    expected = oracle_propagate(g, tolerance=1e-12, damping=damping)
+    assert report.residual < 1e-12
+    assert report.retained(sink) == pytest.approx(retained, abs=1e-9)
+    for nid in g.nodes:
+        assert math.isclose(report.retained(nid), expected.retained(nid), rel_tol=1e-9, abs_tol=1e-9)
+    with pytest.raises(CycleError) as err:
+        propagate(g)
+    assert err.value.cycle == cycle
+
+
+def test_strict_mode_names_a_closed_path_on_a_long_ring():
+    g = SupplyGraph()
+    ids = [f"r{i:04d}" for i in range(5000)]
+    for nid in ids:
+        g.add_node(nid, nid)
+    for source, target in zip(ids, ids[1:] + ids[:1]):
+        g.add_edge(source, target, "x", 1.0, UNIT)
+    with pytest.raises(CycleError) as err:
+        propagate(g)
+    assert err.value.cycle == ids + ids[:1]
 
 
 def test_propagate_rejects_unknown_mode():
