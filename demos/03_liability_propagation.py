@@ -9,7 +9,7 @@ downstream in proportion to shipped mass. Companies with no outgoing
 shipments keep what arrives, so the grand total is conserved.
 """
 
-from elia import EmissionFactor, SupplyGraph, one_hop_inheritance, propagate
+from elia import EmissionFactor, SupplyGraph, propagate
 
 graph = SupplyGraph()
 graph.add_node("mine", "IRONPEAK MINING", direct_emissions_kg=40.0)
@@ -19,9 +19,10 @@ graph.add_node("plant", "VANGUARD MOTORS", direct_emissions_kg=5.0)
 graph.add_edge("mine", "mill", "iron ore", 100.0, EmissionFactor(2.0, "table"))   # 200 kg CO2e
 graph.add_edge("mill", "plant", "steel coil", 50.0, EmissionFactor(1.0, "table"))  # 50 kg CO2e
 
+one_hop = propagate(graph, mode="one_hop")
 print("one-hop inheritance (incoming edges only):")
 for node_id, node in graph.nodes.items():
-    print(f"  {node.display_name}: {one_hop_inheritance(graph, node_id):.1f} kg CO2e")
+    print(f"  {node.display_name}: {one_hop.inherited(node_id):.1f} kg CO2e")
 
 report = propagate(graph, mode="full_propagation")
 print("\nfull propagation:")

@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .extraction import DEFAULT_API_KEY_ENV
+from .graph import MODES
 
 
 @dataclass
@@ -33,7 +34,7 @@ class Config:
             )
         if self.concurrency_limit < 1:
             raise ConfigError("concurrency_limit must be a positive integer")
-        if self.propagation_mode not in ("one_hop", "full_propagation"):
+        if self.propagation_mode not in MODES:
             raise ConfigError(f"unknown propagation_mode: {self.propagation_mode!r}")
 
 

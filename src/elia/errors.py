@@ -59,7 +59,7 @@ class ConfigError(EliaError):
 
 
 class CycleError(EliaError):
-    """Full propagation hit a cycle while running in strict mode."""
+    """Full propagation hit a cycle in strict mode, or a cycle that did not converge."""
 
     def __init__(self, message: str, cycle: list[str] | None = None):
         super().__init__(message)

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .core import EmissionFactor
-from .errors import StoreFormatError, UsageError
+from .errors import NodeNotFoundError, StoreFormatError, UsageError
 from .graph import ELiabilityReport, SupplyGraph
 
 GRAPH_JSON_VERSION = 1
@@ -116,14 +116,24 @@ def import_graph_json(path: str) -> SupplyGraph:
         raise StoreFormatError(
             f"{path}: unsupported graph_json version {doc.get('version')!r}"
         )
+    nodes, edges = doc.get("nodes", []), doc.get("edges", [])
+    for key, value in (("nodes", nodes), ("edges", edges)):
+        if not isinstance(value, list):
+            raise StoreFormatError(f"{path}: {key}: expected a list, got {type(value).__name__}")
     graph = SupplyGraph()
-    for i, n in enumerate(doc.get("nodes", [])):
+    for i, n in enumerate(nodes):
         try:
+            if n["id"] in graph.nodes:
+                raise StoreFormatError(f"{path}: nodes[{i}]: duplicate node id {n['id']!r}")
             graph.add_node(n["id"], n["display_name"], float(n["direct_emissions_kg"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreFormatError(f"{path}: nodes[{i}]: {exc}") from exc
-    for i, e in enumerate(doc.get("edges", [])):
+    edge_ids = set()
+    for i, e in enumerate(edges):
         try:
+            if e["edge_id"] in edge_ids:
+                raise StoreFormatError(f"{path}: edges[{i}]: duplicate edge_id {e['edge_id']!r}")
+            edge_ids.add(e["edge_id"])
             graph.add_edge(
                 e["source"],
                 e["target"],
@@ -132,7 +142,7 @@ def import_graph_json(path: str) -> SupplyGraph:
                 EmissionFactor.from_dict(e["factor"]),
                 edge_id=e["edge_id"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, NodeNotFoundError) as exc:
             raise StoreFormatError(f"{path}: edges[{i}]: {exc}") from exc
     return graph
 
@@ -140,7 +150,11 @@ def import_graph_json(path: str) -> SupplyGraph:
 def load_report_json(path: str) -> ELiabilityReport:
     try:
         with open(path, encoding="utf-8") as fh:
-            return ELiabilityReport.from_dict(json.load(fh))
+            doc = json.load(fh)
+        nodes = doc.get("nodes") if isinstance(doc, dict) else None
+        if not isinstance(nodes, dict) or not all(isinstance(row, dict) for row in nodes.values()):
+            raise StoreFormatError(f"{path}: malformed report: 'nodes' must map node ids to objects")
+        return ELiabilityReport.from_dict(doc)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise StoreFormatError(f"{path}: malformed report: {exc}") from exc
 

@@ -19,10 +19,11 @@ Propagation modes:
   first. A node on no cycle is pooled and allocated once. A cyclic
   component (several nodes, or one node with a self-loop) is an error by
   default; with ``on_cycle="iterate"`` its inflow from upstream is frozen
-  and a damped fixed-point iteration runs over that component alone. The
-  report's residual is the largest final per-node change over the cyclic
-  components: 0 on a DAG, and at or above the tolerance when some
-  component did not converge.
+  and a fixed-point iteration runs over that component alone. A component
+  whose iteration does not settle below the tolerance (a closed cycle with
+  no outflow has no finite solution) raises ``CycleError``, so a returned
+  report is always converged. Its residual is the largest final per-node
+  change over the cyclic components: 0 on a DAG.
 
 The mass-proportional allocation rule is this library's documented
 convention for multi-hop accounting; only the one-hop computation is
@@ -44,7 +45,9 @@ from .resolution import normalize_name
 from .store import DatasetStore
 
 MODES = ("one_hop", "full_propagation")
+ON_CYCLE = ("error", "iterate")
 DEFAULT_TOLERANCE = 1e-9
+MAX_ITERATIONS = 1000
 
 
 @dataclass
@@ -157,7 +160,7 @@ def load_factor_table(path: str, fallback: FactorSampler | EmissionFactor | None
     return FactorTable(rules=rules, fallback=fallback)
 
 
-FactorSource = EmissionFactor | FactorSampler | FactorTable | Mapping[str, EmissionFactor]
+FactorSource = EmissionFactor | FactorSampler | FactorTable
 
 
 def _factor_resolver(factors: FactorSource):
@@ -165,8 +168,6 @@ def _factor_resolver(factors: FactorSource):
         return lambda item: factors
     if isinstance(factors, (FactorSampler, FactorTable)):
         return factors.factor_for
-    if isinstance(factors, Mapping):
-        return lambda item: factors.get(item)
     raise UsageError(f"unsupported factor source: {type(factors).__name__}")
 
 
@@ -177,7 +178,7 @@ class BuildReport:
     edges_from_triples: int = 0
 
 
-def _display_names(store: DatasetStore, alias_map: Mapping[str, str]) -> dict[str, str]:
+def _display_name_by_id(store: DatasetStore, alias_map: Mapping[str, str]) -> dict[str, str]:
     """Most frequent raw name per canonical id, ties by normalized form."""
     counts: dict[str, Counter] = defaultdict(Counter)
     for raw in store.referenced_names():
@@ -194,7 +195,6 @@ def build_graph(
     store: DatasetStore,
     alias_map: Mapping[str, str],
     factors: FactorSource,
-    display_names: Mapping[str, str] | None = None,
 ) -> tuple[SupplyGraph, BuildReport]:
     """Build the multigraph from shipments and transaction triples.
 
@@ -204,7 +204,7 @@ def build_graph(
     are missing from the alias map are skipped and reported, never fatal.
     """
     resolver = _factor_resolver(factors)
-    names = dict(display_names) if display_names else _display_names(store, alias_map)
+    names = _display_name_by_id(store, alias_map)
     graph = SupplyGraph()
     report = BuildReport()
 
@@ -255,9 +255,7 @@ def build_graph(
 
 def one_hop_inheritance(graph: SupplyGraph, node_id: str) -> float:
     """Sum of incoming edge liabilities for one node."""
-    if node_id not in graph.nodes:
-        raise NodeNotFoundError(f"unknown node: {node_id}")
-    return sum(e.edge_liability_kg for e in graph.edges if e.target == node_id)
+    return propagate(graph, mode="one_hop").inherited(node_id)
 
 
 @dataclass
@@ -413,44 +411,31 @@ def propagate(
     mode: str = "full_propagation",
     on_cycle: str = "error",
     tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = 1000,
-    damping: float = 1.0,
 ) -> ELiabilityReport:
     """Compute per-node direct / inherited / transferred / retained totals.
 
-    Full propagation condenses the graph into strongly connected components
-    and visits them upstream first. A component that is one node without a
-    self-loop is pooled and allocated once. A cyclic component (several
-    nodes, or one with a self-loop) is handled by ``on_cycle``: "error"
-    (the default) raises CycleError naming one closed path as soon as any
-    cyclic component exists; "iterate" freezes the component's inflow from
-    upstream and runs the damped fixed-point iteration of the pool
-    equations over the component alone, until its largest per-node change
-    drops below ``tolerance`` or ``max_iterations`` is hit. The reported
-    residual is the largest final change over all cyclic components, so an
-    acyclic graph reports 0 and ``residual >= tolerance`` means some
-    component did not converge (a closed cycle with no outflow never does).
+    One-hop passes nothing downstream. Full propagation condenses the graph
+    into strongly connected components and visits them upstream first. A
+    component that is one node without a self-loop is pooled and allocated
+    once. A cyclic component (several nodes, or one with a self-loop) is
+    handled by ``on_cycle``: "error" (the default) raises CycleError naming
+    one closed path as soon as any cyclic component exists; "iterate"
+    freezes the component's inflow from upstream and runs the fixed-point
+    iteration of the pool equations over the component alone, for at most
+    ``MAX_ITERATIONS`` sweeps, until its largest per-node change drops below
+    ``tolerance``. A component that ends at or above ``tolerance`` raises
+    CycleError (a closed cycle with no outflow never converges), so every
+    returned report is converged: its residual is the largest final change
+    over all cyclic components, and 0 on an acyclic graph.
     """
     if mode not in MODES:
         raise UsageError(f"unknown propagation mode: {mode!r} (expected one of {MODES})")
-    if on_cycle not in ("error", "iterate"):
-        raise UsageError(f"on_cycle must be 'error' or 'iterate', got {on_cycle!r}")
+    if on_cycle not in ON_CYCLE:
+        raise UsageError(f"on_cycle must be one of {ON_CYCLE}, got {on_cycle!r}")
 
     incoming, outgoing = _adjacency(graph)
-
-    if mode == "one_hop":
-        rows = {}
-        for nid, node in graph.nodes.items():
-            inherited = sum(e.edge_liability_kg for e in incoming[nid])
-            rows[nid] = NodeLiability(
-                direct_kg=node.direct_emissions_kg,
-                inherited_kg=inherited,
-                transferred_kg=0.0,
-                retained_kg=node.direct_emissions_kg + inherited,
-            )
-        return ELiabilityReport(mode=mode, residual=0.0, nodes=rows)
-
-    components = _components(graph, outgoing)
+    full = mode == "full_propagation"
+    components = _components(graph, outgoing) if full else []
     cyclic = [_is_cyclic(component, outgoing) for component in components]
     if on_cycle == "error" and any(cyclic):
         cycle = _cycle_in(components[cyclic.index(True)], outgoing)
@@ -460,9 +445,14 @@ def propagate(
     residual = 0.0
     for component, is_cyclic in zip(components, cyclic):
         if is_cyclic:
-            residual = max(residual, _iterate_component(
-                graph, component, incoming, outgoing, share, tolerance, max_iterations, damping
-            ))
+            change = _iterate_component(graph, component, incoming, outgoing, share, tolerance)
+            if not change < tolerance:
+                raise CycleError(
+                    f"propagation did not converge: residual {change:.3e} is not below "
+                    f"tolerance {tolerance:.0e}",
+                    cycle=_cycle_in(component, outgoing),
+                )
+            residual = max(residual, change)
         else:
             (nid,) = component
             pool = graph.nodes[nid].direct_emissions_kg + sum(
@@ -473,7 +463,7 @@ def propagate(
     rows = {}
     for nid, node in graph.nodes.items():
         inherited = sum(e.edge_liability_kg + share[e.edge_id] for e in incoming[nid])
-        transferred = sum(share[e.edge_id] for e in outgoing[nid])
+        transferred = sum(share[e.edge_id] for e in outgoing[nid]) if full else 0.0
         rows[nid] = NodeLiability(
             direct_kg=node.direct_emissions_kg,
             inherited_kg=inherited,
@@ -490,14 +480,13 @@ def _allocate(pool: float, edges: list[Edge]) -> dict[str, float]:
     return {e.edge_id: pool * (e.mass_kg / out_mass) for e in edges}
 
 
-def _iterate_component(graph, component, incoming, outgoing, share, tolerance, max_iterations,
-                       damping) -> float:
-    """Damped Jacobi iteration of the pool equations inside one cyclic component.
+def _iterate_component(graph, component, incoming, outgoing, share, tolerance) -> float:
+    """Jacobi iteration of the pool equations inside one cyclic component.
 
     Inflow from upstream components is final by now, so it is frozen into a
     per-node base together with every incoming edge liability; only the
     shares passed along inner edges are iterated. Once the largest per-node
-    change drops below ``tolerance`` (or ``max_iterations`` is hit) the
+    change drops below ``tolerance`` (or ``MAX_ITERATIONS`` is hit) the
     pools are allocated onto every outgoing edge of the component, and the
     final change is returned as the component's residual.
     """
@@ -521,12 +510,8 @@ def _iterate_component(graph, component, incoming, outgoing, share, tolerance, m
 
     pools = [0.0] * len(component)
     residual = float("inf")
-    keep = 1.0 - damping
-    for _ in range(max_iterations):
-        new_pools = [
-            keep * old + damping * (b + sum(pools[j] * frac for j, frac in terms))
-            for old, b, terms in zip(pools, base, inner)
-        ]
+    for _ in range(MAX_ITERATIONS):
+        new_pools = [b + sum(pools[j] * frac for j, frac in terms) for b, terms in zip(base, inner)]
         residual = max(abs(new - old) for new, old in zip(new_pools, pools))
         pools = new_pools
         if residual < tolerance:
@@ -576,6 +561,8 @@ def query(
         k = int(params.get("k", 10))
         if by not in ("retained", "inherited"):
             raise UsageError(f"top supports by=retained|inherited, got {by!r}")
+        if k < 1:
+            raise UsageError(f"top needs k >= 1, got {k}")
         if report is None:
             raise UsageError("top requires a propagation report")
         ranked = sorted(

@@ -14,13 +14,12 @@ from pathlib import Path
 from typing import Callable
 
 from .core import Mention, Sentence
+from .resolution import CORPORATE_SUFFIXES
 from .store import DatasetStore
 
 # Anything that maps a bare sentence to one with mentions populated can
 # stand in for the bundled detector (e.g. a statistical NER wrapper).
 MentionDetector = Callable[[Sentence], Sentence]
-
-DEFAULT_SUFFIXES = frozenset({"LTD", "INC", "LLC", "CO", "CORP", "JSC", "PLC", "GMBH"})
 
 # Tokens that end with a period without ending a sentence.
 _ABBREVIATIONS = {
@@ -72,7 +71,7 @@ class Gazetteer:
     """
 
     entries: frozenset[str] = frozenset()
-    suffixes: frozenset[str] = DEFAULT_SUFFIXES
+    suffixes: frozenset[str] = CORPORATE_SUFFIXES
     _matchers: tuple[_LengthMatcher, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,7 +92,7 @@ def read_gazetteer_names(path: str) -> set[str]:
     return entries
 
 
-def load_gazetteer(path: str, suffixes: frozenset[str] = DEFAULT_SUFFIXES) -> Gazetteer:
+def load_gazetteer(path: str, suffixes: frozenset[str] = CORPORATE_SUFFIXES) -> Gazetteer:
     """A ``Gazetteer`` over the names of a gazetteer file."""
     return Gazetteer(entries=read_gazetteer_names(path), suffixes=suffixes)
 

@@ -193,6 +193,50 @@ def test_propagate_unconverged_iterate_exits_1_without_report(tmp_path, caplog):
     assert not report.exists()
 
 
+def graph_doc(nodes, edges):
+    return {
+        "format": "supply-graph", "version": 1, "directed": True,
+        "nodes": [{"id": nid, "display_name": nid, "direct_emissions_kg": kg} for nid, kg in nodes],
+        "edges": [
+            {"edge_id": eid, "source": s, "target": t, "item": "x", "mass_kg": kg,
+             "factor": {"per_kg_co2e": 1.0, "provenance": "manual"}}
+            for eid, s, t, kg in edges
+        ],
+    }
+
+
+@pytest.mark.parametrize("doc, reason", [
+    pytest.param(graph_doc([("a", 0.0), ("b", 0.0), ("c", 0.0)],
+                           [("e1", "a", "b", 1.0), ("e2", "a", "b", 1.0), ("e2", "a", "c", 3.0)]),
+                 ": edges[2]: duplicate edge_id 'e2'", id="repeated-edge-id"),
+    pytest.param(graph_doc([("a", 0.0), ("b", 0.0), ("a", 50.0)], []),
+                 ": nodes[2]: duplicate node id 'a'", id="repeated-node-id"),
+    pytest.param(dict(graph_doc([], []), nodes=5), ": nodes: expected a list, got int",
+                 id="nodes-not-a-list"),
+    pytest.param(dict(graph_doc([], []), edges={"e1": {}}), ": edges: expected a list, got dict",
+                 id="edges-not-a-list"),
+    pytest.param(graph_doc([("a", 0.0)], [("e1", "a", "zz", 1.0)]),
+                 ": edges[0]: unknown edge target: zz", id="unknown-edge-target"),
+])
+def test_malformed_graph_json_names_path_and_index_exits_2(tmp_path, caplog, doc, reason):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert run("propagate", "--graph", graph, "--out", report) == 2
+    assert f"{graph}{reason}" in caplog.text
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("nodes", [[], {"a": [1.0]}], ids=["nodes-list", "row-not-object"])
+def test_malformed_report_json_exits_2(tmp_path, caplog, nodes):
+    graph = tmp_path / "graph.json"
+    write_graph(graph, ["a"], [])
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"mode": "one_hop", "residual": 0.0, "nodes": nodes}))
+    assert run("query", "top", "--graph", graph, "--report", report) == 2
+    assert f"{report}: malformed report: 'nodes' must map node ids to objects" in caplog.text
+
+
 def test_duplicate_store_row_names_file_and_line_exits_2(tmp_path, caplog):
     store = tmp_path / "store"
     assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0

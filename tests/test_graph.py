@@ -330,28 +330,17 @@ def test_cycle_iterate_mode_converges():
     assert report.residual < 1e-9
 
 
-def test_cycle_damped_iteration_reaches_same_fixed_point():
-    g = SupplyGraph()
-    for nid in ("a", "b", "c"):
-        g.add_node(nid, nid.upper())
-    g.add_edge("a", "b", "x", 10.0, EmissionFactor(1.0, "manual"))
-    g.add_edge("b", "a", "y", 5.0, EmissionFactor(0.0, "manual"))
-    g.add_edge("b", "c", "z", 5.0, EmissionFactor(0.0, "manual"))
-    damped = propagate(g, on_cycle="iterate", damping=0.5)
-    assert damped.retained("c") == pytest.approx(10.0, abs=1e-6)
-    assert damped.residual < 1e-9
-
-
 def test_cycle_without_sink_reports_nonconvergence():
     g = SupplyGraph()
     g.add_node("a", "A")
     g.add_node("b", "B")
     g.add_edge("a", "b", "x", 10.0, EmissionFactor(1.0, "manual"))
     g.add_edge("b", "a", "y", 10.0, EmissionFactor(0.0, "manual"))
-    report = propagate(g, on_cycle="iterate", max_iterations=50)
-    # liability keeps circulating: no fixed point exists and the residual
-    # must say so instead of pretending convergence
-    assert report.residual >= 1.0
+    # liability keeps circulating: no fixed point exists, and propagation
+    # must say so instead of returning an unconverged report
+    with pytest.raises(CycleError, match="did not converge") as err:
+        propagate(g, on_cycle="iterate")
+    assert err.value.cycle == ["a", "b", "a"]
 
 
 def test_full_propagation_matches_whole_graph_oracle_on_dags():
@@ -410,15 +399,14 @@ def cycles_in_series_graph() -> SupplyGraph:
     return g
 
 
-@pytest.mark.parametrize("make, damping, sink, retained, cycle", [
-    (self_loop_graph, 1.0, "t", 10.0, ["a", "a"]),
-    (cycles_in_series_graph, 1.0, "e", 12.0, ["a", "b", "a"]),
-    (cycles_in_series_graph, 0.5, "e", 12.0, ["a", "b", "a"]),
+@pytest.mark.parametrize("make, sink, retained, cycle", [
+    (self_loop_graph, "t", 10.0, ["a", "a"]),
+    (cycles_in_series_graph, "e", 12.0, ["a", "b", "a"]),
 ])
-def test_cyclic_components_match_oracle(make, damping, sink, retained, cycle):
+def test_cyclic_components_match_oracle(make, sink, retained, cycle):
     g = make()
-    report = propagate(g, on_cycle="iterate", tolerance=1e-12, damping=damping)
-    expected = oracle_propagate(g, tolerance=1e-12, damping=damping)
+    report = propagate(g, on_cycle="iterate", tolerance=1e-12)
+    expected = oracle_propagate(g, tolerance=1e-12)
     assert report.residual < 1e-12
     assert report.retained(sink) == pytest.approx(retained, abs=1e-9)
     for nid in g.nodes:
@@ -459,6 +447,13 @@ def test_query_top_by_inherited_and_bad_by():
     assert rows[0][0] == "c"
     with pytest.raises(UsageError):
         query(g, report, "top", by="vibes")
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_query_top_rejects_k_below_one(k):
+    g = chain_graph()
+    with pytest.raises(UsageError, match="k >= 1"):
+        query(g, propagate(g), "top", k=k)
 
 
 def test_query_breakdown_single_supplier_equals_inherited():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elia.core import Sentence
+from elia.resolution import CORPORATE_SUFFIXES
 from elia.store import new_store
 from elia.transcripts import (
     Gazetteer,
@@ -124,6 +125,15 @@ def test_suffix_rule_trailing_punctuation():
     gaz = Gazetteer(entries=set())
     got = detect_mentions(one_sentence("They bought from Pelter Winery Ltd."), gaz)
     assert [m.surface for m in got.mentions] == ["Pelter Winery Ltd"]
+
+
+def test_suffix_rule_uses_the_resolution_suffix_list():
+    gaz = Gazetteer(entries=set())
+    got = detect_mentions(one_sentence("Thyssen Krupp AG shipped coil."), gaz)
+    assert [m.surface for m in got.mentions] == ["Thyssen Krupp AG"]
+    for suffix in CORPORATE_SUFFIXES:
+        got = detect_mentions(one_sentence(f"They bought from Acme Metals {suffix}."), gaz)
+        assert [m.surface for m in got.mentions] == [f"Acme Metals {suffix}"]
 
 
 def test_lone_suffix_token_is_not_a_mention():
