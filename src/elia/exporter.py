@@ -4,16 +4,21 @@ graph_json is the lossless interchange format: ``import_graph_json`` is an
 exact inverse of ``export`` with format="graph_json". GEXF and DOT are
 one-way visualization exports. Numeric attributes are written with six
 decimal places so golden files stay byte-stable.
+
+GEXF is written directly as text, one line per element, in a single write.
+Its bytes are pinned against the original ElementTree writer
+(``tests/oracles.py::oracle_write_gexf``): same attribute escaping,
+two-space indent, ``" />"`` empty tags and no final newline.
 """
 
 from __future__ import annotations
 
 import json
-import xml.etree.ElementTree as ET
+import re
 from dataclasses import dataclass
 
 from .core import EmissionFactor
-from .errors import NodeNotFoundError, StoreFormatError, UsageError
+from .errors import DuplicateIdError, NodeNotFoundError, StoreFormatError, UsageError
 from .graph import ELiabilityReport, SupplyGraph
 
 GRAPH_JSON_VERSION = 1
@@ -128,21 +133,26 @@ def import_graph_json(path: str) -> SupplyGraph:
             graph.add_node(n["id"], n["display_name"], float(n["direct_emissions_kg"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreFormatError(f"{path}: nodes[{i}]: {exc}") from exc
-    edge_ids = set()
+    # EmissionFactor is frozen, so edges with the same factor share one
+    # instance, built (and validated) the first time its pair appears. The
+    # value is keyed by repr because 0.0 == -0.0, and both must round-trip.
+    factors: dict[tuple, EmissionFactor] = {}
     for i, e in enumerate(edges):
         try:
-            if e["edge_id"] in edge_ids:
-                raise StoreFormatError(f"{path}: edges[{i}]: duplicate edge_id {e['edge_id']!r}")
-            edge_ids.add(e["edge_id"])
+            raw = e["factor"]
+            key = (repr(raw["per_kg_co2e"]), raw.get("provenance", "manual"))
+            factor = factors.get(key)
+            if factor is None:
+                factor = factors[key] = EmissionFactor.from_dict(raw)
             graph.add_edge(
                 e["source"],
                 e["target"],
                 e["item"],
                 float(e["mass_kg"]),
-                EmissionFactor.from_dict(e["factor"]),
+                factor,
                 edge_id=e["edge_id"],
             )
-        except (KeyError, TypeError, ValueError, NodeNotFoundError) as exc:
+        except (KeyError, TypeError, ValueError, NodeNotFoundError, DuplicateIdError) as exc:
             raise StoreFormatError(f"{path}: edges[{i}]: {exc}") from exc
     return graph
 
@@ -165,80 +175,83 @@ def save_report_json(report: ELiabilityReport, path: str) -> None:
         fh.write("\n")
 
 
-def _write_gexf(graph, report, opts, path):
-    ET.register_namespace("", GEXF_NS)
-    root = ET.Element(f"{{{GEXF_NS}}}gexf", {"version": "1.3"})
-    g = ET.SubElement(root, f"{{{GEXF_NS}}}graph", {"defaultedgetype": "directed"})
+_ATTR_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;",
+})
+_NEEDS_ESCAPE = re.compile('[&<>"\r\n\t]').search
 
-    node_attrs = ET.SubElement(g, f"{{{GEXF_NS}}}attributes", {"class": "node"})
-    ET.SubElement(
-        node_attrs,
-        f"{{{GEXF_NS}}}attribute",
-        {"id": "0", "title": "direct_emissions_kg", "type": "double"},
+
+def _attr(text: str) -> str:
+    """Escape an XML attribute value the way ElementTree does."""
+    # translate() with multi-character replacements is several times slower
+    # than a regex search even when nothing matches, so plain text skips it.
+    return text.translate(_ATTR_ESCAPES) if _NEEDS_ESCAPE(text) else text
+
+
+def _gexf_list(tag: str, items: list[str]) -> list[str]:
+    if not items:
+        return [f"    <{tag} />"]
+    return [f"    <{tag}>", *items, f"    </{tag}>"]
+
+
+def _gexf_node(node, report) -> str:
+    retained = ""
+    if report is not None and node.canonical_id in report.nodes:
+        value = _fixed(report.nodes[node.canonical_id].retained_kg)
+        retained = f'\n          <attvalue for="1" value="{value}" />'
+    return (
+        f'      <node id="{_attr(node.canonical_id)}" label="{_attr(node.display_name)}">\n'
+        f"        <attvalues>\n"
+        f'          <attvalue for="0" value="{_fixed(node.direct_emissions_kg)}" />{retained}\n'
+        f"        </attvalues>\n"
+        f"      </node>"
     )
+
+
+def _gexf_edge(edge, weight_attr: str) -> str:
+    return (
+        f'      <edge id="{_attr(edge.edge_id)}" source="{_attr(edge.source)}" '
+        f'target="{_attr(edge.target)}" weight="{_fixed(_edge_weight(edge, weight_attr))}">\n'
+        f"        <attvalues>\n"
+        f'          <attvalue for="10" value="{_attr(edge.item)}" />\n'
+        f'          <attvalue for="11" value="{_fixed(edge.mass_kg)}" />\n'
+        f'          <attvalue for="12" value="{_fixed(edge.edge_liability_kg)}" />\n'
+        f'          <attvalue for="13" value="{_fixed(edge.factor.per_kg_co2e)}" />\n'
+        f'          <attvalue for="14" value="{_attr(edge.factor.provenance)}" />\n'
+        f"        </attvalues>\n"
+        f"      </edge>"
+    )
+
+
+def _write_gexf(graph, report, opts, path):
+    lines = [
+        "<?xml version='1.0' encoding='UTF-8'?>",
+        f'<gexf xmlns="{GEXF_NS}" version="1.3">',
+        '  <graph defaultedgetype="directed">',
+        '    <attributes class="node">',
+        '      <attribute id="0" title="direct_emissions_kg" type="double" />',
+    ]
     if report is not None:
-        ET.SubElement(
-            node_attrs,
-            f"{{{GEXF_NS}}}attribute",
-            {"id": "1", "title": "retained_kg", "type": "double"},
-        )
-    edge_attrs = ET.SubElement(g, f"{{{GEXF_NS}}}attributes", {"class": "edge"})
-    for attr_id, title, kind in (
-        ("10", "item", "string"),
-        ("11", "mass_kg", "double"),
-        ("12", "edge_liability_kg", "double"),
-        ("13", "factor_per_kg_co2e", "double"),
-        ("14", "factor_provenance", "string"),
-    ):
-        ET.SubElement(
-            edge_attrs, f"{{{GEXF_NS}}}attribute", {"id": attr_id, "title": title, "type": kind}
-        )
-
-    nodes_el = ET.SubElement(g, f"{{{GEXF_NS}}}nodes")
-    for node in _visible_nodes(graph, opts.include_isolates):
-        node_el = ET.SubElement(
-            nodes_el,
-            f"{{{GEXF_NS}}}node",
-            {"id": node.canonical_id, "label": node.display_name},
-        )
-        values = ET.SubElement(node_el, f"{{{GEXF_NS}}}attvalues")
-        ET.SubElement(
-            values,
-            f"{{{GEXF_NS}}}attvalue",
-            {"for": "0", "value": _fixed(node.direct_emissions_kg)},
-        )
-        if report is not None and node.canonical_id in report.nodes:
-            ET.SubElement(
-                values,
-                f"{{{GEXF_NS}}}attvalue",
-                {"for": "1", "value": _fixed(report.nodes[node.canonical_id].retained_kg)},
-            )
-
-    edges_el = ET.SubElement(g, f"{{{GEXF_NS}}}edges")
-    for edge in graph.edges:
-        edge_el = ET.SubElement(
-            edges_el,
-            f"{{{GEXF_NS}}}edge",
-            {
-                "id": edge.edge_id,
-                "source": edge.source,
-                "target": edge.target,
-                "weight": _fixed(_edge_weight(edge, opts.weight_attr)),
-            },
-        )
-        values = ET.SubElement(edge_el, f"{{{GEXF_NS}}}attvalues")
-        for attr_id, value in (
-            ("10", edge.item),
-            ("11", _fixed(edge.mass_kg)),
-            ("12", _fixed(edge.edge_liability_kg)),
-            ("13", _fixed(edge.factor.per_kg_co2e)),
-            ("14", edge.factor.provenance),
-        ):
-            ET.SubElement(values, f"{{{GEXF_NS}}}attvalue", {"for": attr_id, "value": value})
-
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(path, encoding="UTF-8", xml_declaration=True)
+        lines.append('      <attribute id="1" title="retained_kg" type="double" />')
+    lines += [
+        "    </attributes>",
+        '    <attributes class="edge">',
+        '      <attribute id="10" title="item" type="string" />',
+        '      <attribute id="11" title="mass_kg" type="double" />',
+        '      <attribute id="12" title="edge_liability_kg" type="double" />',
+        '      <attribute id="13" title="factor_per_kg_co2e" type="double" />',
+        '      <attribute id="14" title="factor_provenance" type="string" />',
+        "    </attributes>",
+    ]
+    nodes = _visible_nodes(graph, opts.include_isolates)
+    lines += _gexf_list("nodes", [_gexf_node(node, report) for node in nodes])
+    lines += _gexf_list("edges", [_gexf_edge(edge, opts.weight_attr) for edge in graph.edges])
+    lines += ["  </graph>", "</gexf>"]
+    # ElementTree's own file settings, so characters UTF-8 cannot encode
+    # (a lone surrogate) still become numeric character references.
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace", newline="\n") as fh:
+        fh.write("\n".join(lines))
 
 
 def _dot_escape(text: str) -> str:

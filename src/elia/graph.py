@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import EmissionFactor, read_ndjson
-from .errors import CycleError, NodeNotFoundError, SchemaError, UsageError
+from .errors import CycleError, DuplicateIdError, NodeNotFoundError, SchemaError, UsageError
 from .resolution import normalize_name
 from .store import DatasetStore
 
@@ -81,6 +81,10 @@ class Edge:
 class SupplyGraph:
     nodes: dict[str, Node] = field(default_factory=dict)
     edges: list[Edge] = field(default_factory=list)
+    _edge_ids: set[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._edge_ids = {edge.edge_id for edge in self.edges}
 
     def add_node(self, canonical_id: str, display_name: str, direct_emissions_kg: float = 0.0) -> Node:
         node = self.nodes.get(canonical_id)
@@ -97,7 +101,12 @@ class SupplyGraph:
             raise NodeNotFoundError(f"unknown edge target: {target}")
         if edge_id is None:
             edge_id = f"e{len(self.edges) + 1:06d}"
+        # propagate keys edge shares by edge_id, so a repeat would overwrite
+        # one edge's allocation with another's.
+        if edge_id in self._edge_ids:
+            raise DuplicateIdError(f"duplicate edge_id {edge_id!r}")
         edge = Edge(edge_id, source, target, item, mass_kg, factor)
+        self._edge_ids.add(edge_id)
         self.edges.append(edge)
         return edge
 

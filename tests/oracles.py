@@ -12,15 +12,21 @@ is fine for the small random graphs used in tests.
 The full-propagation oracle is the original whole-graph implementation:
 Kahn's sort with sorted tie-breaking for an acyclic graph, otherwise a
 damped Jacobi iteration that re-pools every node on every sweep.
+
+The GEXF oracle is the original writer: it builds an ElementTree, indents
+it and lets ElementTree serialize it, so the string writer must match its
+escaping and layout byte for byte.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import xml.etree.ElementTree as ET
 from collections import defaultdict
 
 from elia.core import EmissionFactor, Mention, Sentence
+from elia.exporter import GEXF_NS, _edge_weight, _fixed, _visible_nodes
 from elia.graph import ELiabilityReport, NodeLiability, SupplyGraph
 from elia.transcripts import Gazetteer, _suffix_run_spans
 
@@ -211,3 +217,80 @@ def random_dag(rng: random.Random, max_nodes: int = 10, max_edges: int = 20) -> 
             factor = EmissionFactor(round(rng.uniform(0, 3), 3), "manual")
             graph.add_edge(ids[i], ids[j], f"item-{i}-{j}", mass, factor)
     return graph
+
+
+def oracle_write_gexf(graph, report, opts, path):
+    """The original GEXF writer: an ElementTree, indented, then serialized."""
+    ET.register_namespace("", GEXF_NS)
+    root = ET.Element(f"{{{GEXF_NS}}}gexf", {"version": "1.3"})
+    g = ET.SubElement(root, f"{{{GEXF_NS}}}graph", {"defaultedgetype": "directed"})
+
+    node_attrs = ET.SubElement(g, f"{{{GEXF_NS}}}attributes", {"class": "node"})
+    ET.SubElement(
+        node_attrs,
+        f"{{{GEXF_NS}}}attribute",
+        {"id": "0", "title": "direct_emissions_kg", "type": "double"},
+    )
+    if report is not None:
+        ET.SubElement(
+            node_attrs,
+            f"{{{GEXF_NS}}}attribute",
+            {"id": "1", "title": "retained_kg", "type": "double"},
+        )
+    edge_attrs = ET.SubElement(g, f"{{{GEXF_NS}}}attributes", {"class": "edge"})
+    for attr_id, title, kind in (
+        ("10", "item", "string"),
+        ("11", "mass_kg", "double"),
+        ("12", "edge_liability_kg", "double"),
+        ("13", "factor_per_kg_co2e", "double"),
+        ("14", "factor_provenance", "string"),
+    ):
+        ET.SubElement(
+            edge_attrs, f"{{{GEXF_NS}}}attribute", {"id": attr_id, "title": title, "type": kind}
+        )
+
+    nodes_el = ET.SubElement(g, f"{{{GEXF_NS}}}nodes")
+    for node in _visible_nodes(graph, opts.include_isolates):
+        node_el = ET.SubElement(
+            nodes_el,
+            f"{{{GEXF_NS}}}node",
+            {"id": node.canonical_id, "label": node.display_name},
+        )
+        values = ET.SubElement(node_el, f"{{{GEXF_NS}}}attvalues")
+        ET.SubElement(
+            values,
+            f"{{{GEXF_NS}}}attvalue",
+            {"for": "0", "value": _fixed(node.direct_emissions_kg)},
+        )
+        if report is not None and node.canonical_id in report.nodes:
+            ET.SubElement(
+                values,
+                f"{{{GEXF_NS}}}attvalue",
+                {"for": "1", "value": _fixed(report.nodes[node.canonical_id].retained_kg)},
+            )
+
+    edges_el = ET.SubElement(g, f"{{{GEXF_NS}}}edges")
+    for edge in graph.edges:
+        edge_el = ET.SubElement(
+            edges_el,
+            f"{{{GEXF_NS}}}edge",
+            {
+                "id": edge.edge_id,
+                "source": edge.source,
+                "target": edge.target,
+                "weight": _fixed(_edge_weight(edge, opts.weight_attr)),
+            },
+        )
+        values = ET.SubElement(edge_el, f"{{{GEXF_NS}}}attvalues")
+        for attr_id, value in (
+            ("10", edge.item),
+            ("11", _fixed(edge.mass_kg)),
+            ("12", _fixed(edge.edge_liability_kg)),
+            ("13", _fixed(edge.factor.per_kg_co2e)),
+            ("14", edge.factor.provenance),
+        ):
+            ET.SubElement(values, f"{{{GEXF_NS}}}attvalue", {"for": attr_id, "value": value})
+
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    tree.write(path, encoding="UTF-8", xml_declaration=True)

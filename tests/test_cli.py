@@ -205,6 +205,13 @@ def graph_doc(nodes, edges):
     }
 
 
+def with_factor(factor):
+    """Two edges a->b: a valid factor first, then ``factor``."""
+    doc = graph_doc([("a", 0.0), ("b", 0.0)], [("e1", "a", "b", 1.0), ("e2", "a", "b", 1.0)])
+    doc["edges"][1]["factor"] = factor
+    return doc
+
+
 @pytest.mark.parametrize("doc, reason", [
     pytest.param(graph_doc([("a", 0.0), ("b", 0.0), ("c", 0.0)],
                            [("e1", "a", "b", 1.0), ("e2", "a", "b", 1.0), ("e2", "a", "c", 3.0)]),
@@ -217,6 +224,14 @@ def graph_doc(nodes, edges):
                  id="edges-not-a-list"),
     pytest.param(graph_doc([("a", 0.0)], [("e1", "a", "zz", 1.0)]),
                  ": edges[0]: unknown edge target: zz", id="unknown-edge-target"),
+    pytest.param(with_factor({"per_kg_co2e": -1.0, "provenance": "manual"}),
+                 ": edges[1]: per_kg_co2e must be >= 0", id="negative-factor"),
+    pytest.param(with_factor({"per_kg_co2e": 1.0, "provenance": "guess"}),
+                 ": edges[1]: unknown factor provenance: 'guess'", id="unknown-provenance"),
+    pytest.param(with_factor({"per_kg_co2e": 1.0, "provenance": ["manual"]}),
+                 ": edges[1]: unhashable type: 'list'", id="unhashable-provenance"),
+    pytest.param(with_factor([1.0, "manual"]),
+                 ": edges[1]: list indices must be integers", id="factor-not-an-object"),
 ])
 def test_malformed_graph_json_names_path_and_index_exits_2(tmp_path, caplog, doc, reason):
     graph = tmp_path / "graph.json"

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import math
 import random
 import re
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import random_multigraph
+from oracles import oracle_write_gexf, random_multigraph
 
-from elia.core import EmissionFactor
+from elia.core import FACTOR_PROVENANCES, EmissionFactor
 from elia.errors import StoreFormatError, UsageError
 from elia.exporter import ExportOptions, export, import_graph_json, load_report_json, save_report_json
-from elia.graph import SupplyGraph, propagate
+from elia.graph import ELiabilityReport, NodeLiability, SupplyGraph, propagate
 
 
 def chain_graph():
@@ -93,6 +97,25 @@ def test_graph_json_round_trip_random_multigraphs(tmp_path):
         path = tmp_path / f"g{i}.json"
         export(g, None, ExportOptions(format="graph_json"), str(path))
         assert import_graph_json(str(path)) == g
+
+
+def test_graph_json_round_trip_shares_repeated_factors(tmp_path):
+    g = SupplyGraph()
+    for nid in "abcd":
+        g.add_node(nid, nid.upper(), 1.0)
+    factors = [EmissionFactor(2.5, "table"), EmissionFactor(2.5, "manual"),
+               EmissionFactor(0.0, "table"), EmissionFactor(-0.0, "table")]
+    for i, (source, target) in enumerate(["ab", "ac", "bd", "cd", "ab", "bd", "cd", "ac"]):
+        g.add_edge(source, target, f"item{i}", 10.0 + i, factors[i % 4])
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    export(g, None, ExportOptions(format="graph_json"), str(first))
+    back = import_graph_json(str(first))
+    export(back, None, ExportOptions(format="graph_json"), str(second))
+    assert back == g
+    assert second.read_bytes() == first.read_bytes()
+    assert [math.copysign(1.0, e.factor.per_kg_co2e) for e in back.edges[2:4]] == [1.0, -1.0]
+    assert back.edges[0].factor is back.edges[4].factor
+    assert back.edges[0].factor is not back.edges[1].factor
 
 
 def test_graph_json_truncated_file(tmp_path):
@@ -198,6 +221,59 @@ def test_include_isolates_false_drops_degree_zero(tmp_path):
 
     export(g, None, ExportOptions(format="gexf", include_isolates=False), str(tmp_path / "i.gexf"))
     assert len(ET.parse(tmp_path / "i.gexf").findall(f".//{GEXF_NS}node")) == 3
+
+
+# Characters ElementTree escapes in attributes, the apostrophe it leaves
+# alone, non-ASCII text (one astral) and a lone surrogate, which both
+# writers turn into &#55296;.
+_AWKWARD = st.text(st.sampled_from(list("&<>\"'\r\n\t aZ0é中\U0001d11e") + ["\ud800"]), max_size=6)
+_NODES = st.lists(st.tuples(_AWKWARD, _AWKWARD, st.floats(0, 1e9)), max_size=5,
+                  unique_by=lambda row: row[0])
+# The writer escapes provenance although today's vocabulary needs none, so
+# a provenance may be any text, set past EmissionFactor's validation.
+_EDGES = st.lists(
+    st.tuples(_AWKWARD, st.integers(0, 4), st.integers(0, 4), _AWKWARD, st.floats(0, 1e6),
+              st.floats(0, 10), st.sampled_from(FACTOR_PROVENANCES) | _AWKWARD),
+    max_size=6, unique_by=lambda row: row[0],
+)
+
+
+@st.composite
+def gexf_cases(draw):
+    g = SupplyGraph()
+    for nid, label, direct in draw(_NODES):
+        g.add_node(nid, label, direct)
+    ids = list(g.nodes)
+    for edge_id, source, target, item, mass, value, provenance in draw(_EDGES) if ids else []:
+        factor = EmissionFactor(value, "table")
+        object.__setattr__(factor, "provenance", provenance)
+        g.add_edge(ids[source % len(ids)], ids[target % len(ids)], item, mass, factor,
+                   edge_id=edge_id)
+    report = None
+    if draw(st.booleans()):
+        # a report that lacks some nodes, as one read from an older graph
+        rows = draw(st.lists(st.tuples(st.booleans(), st.floats(0, 1e9)),
+                             min_size=len(ids), max_size=len(ids)))
+        report = ELiabilityReport("full_propagation", 0.0, {
+            nid: NodeLiability(retained_kg=kg) for nid, (kept, kg) in zip(ids, rows) if kept
+        })
+    opts = ExportOptions(format="gexf", weight_attr=draw(st.sampled_from(["edge_liability", "mass"])),
+                         include_isolates=draw(st.booleans()))
+    return g, report, opts
+
+
+@settings(max_examples=300, deadline=None)
+@given(gexf_cases())
+@example((SupplyGraph(), None, ExportOptions(format="gexf")))
+@example((SupplyGraph(), ELiabilityReport("one_hop", 0.0, {}),
+          ExportOptions(format="gexf", weight_attr="mass", include_isolates=False)))
+def test_gexf_writer_matches_elementtree_oracle(case):
+    graph, report, opts = case
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, oracle = Path(tmp, "ours.gexf"), Path(tmp, "oracle.gexf")
+        export(graph, report, opts, str(ours))
+        oracle_write_gexf(graph, report, opts, str(oracle))
+        assert ours.read_bytes() == oracle.read_bytes()
 
 
 def test_export_options_validation():

@@ -8,7 +8,7 @@ import pytest
 from oracles import oracle_propagate, oracle_retained, random_dag, random_multigraph
 
 from elia.core import CompanyRef, EmissionFactor, Sentence, TransactionTriple
-from elia.errors import CycleError, NodeNotFoundError, UsageError
+from elia.errors import CycleError, DuplicateIdError, NodeNotFoundError, UsageError
 from elia.graph import (
     FactorSampler,
     FactorTable,
@@ -127,6 +127,22 @@ def test_parallel_edges_preserved(sample_records):
     pairs = [(e.source, e.target) for e in graph.edges]
     assert len(pairs) == 4
     assert len(set(pairs)) == 3  # one parallel pair
+
+
+def test_add_edge_rejects_a_repeated_edge_id():
+    g = SupplyGraph()
+    for nid in "abc":
+        g.add_node(nid, nid.upper())
+    g.nodes["a"].direct_emissions_kg = 10.0
+    g.add_edge("a", "b", "x", 1.0, UNIT, edge_id="e2")
+    with pytest.raises(DuplicateIdError, match="duplicate edge_id 'e2'"):
+        g.add_edge("a", "c", "x", 3.0, UNIT, edge_id="e2")
+    # a generated id that an explicit one already took is refused too
+    g.add_edge("a", "c", "x", 3.0, UNIT, edge_id="e000003")
+    with pytest.raises(DuplicateIdError, match="duplicate edge_id 'e000003'"):
+        g.add_edge("a", "c", "x", 3.0, UNIT)
+    assert [e.edge_id for e in g.edges] == ["e2", "e000003"]
+    assert propagate(g).retained("a") == 0.0
 
 
 def test_one_hop_empty_sum():
