@@ -8,7 +8,9 @@ mandatory column) is fatal.
 from __future__ import annotations
 
 import csv
+import functools
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import date, datetime
 
@@ -89,12 +91,16 @@ def _parse_date(text: str) -> date | None:
     raise ValueError(f"unrecognized date: {text!r}")
 
 
-def parse_bol_file(path: str, delimiter: str = ",") -> tuple[list[ShipmentRecord], BolParseReport]:
+def parse_bol_file(
+    path: str, delimiter: str = ",", product_transform: Callable[[str], str] | None = None
+) -> tuple[list[ShipmentRecord], BolParseReport]:
     """Parse one delimited file into shipment records plus a reject report.
 
     The header row must map at least shipper, consignee, product, quantity
     and weight (see HEADER_ALIASES). Quoted fields are supported. Raw names
     are trimmed but otherwise kept exactly as written (case preserved).
+    ``product_transform``, if given, maps each non-empty product description
+    before the record (and so its id) is built.
     """
     report = BolParseReport()
     records: list[ShipmentRecord] = []
@@ -110,7 +116,7 @@ def parse_bol_file(path: str, delimiter: str = ",") -> tuple[list[ShipmentRecord
             line_no = reader.line_num
             if not any(cell.strip() for cell in row):
                 continue
-            rec, reason = _row_to_record(row, columns)
+            rec, reason = _row_to_record(row, columns, product_transform)
             if rec is None:
                 report.reject(line_no, reason)
             else:
@@ -126,7 +132,7 @@ def _cell(row: list[str], columns: dict[str, int], key: str) -> str:
     return row[idx].strip()
 
 
-def _row_to_record(row: list[str], columns: dict[str, int]):
+def _row_to_record(row: list[str], columns: dict[str, int], product_transform):
     shipper = _cell(row, columns, "shipper")
     consignee = _cell(row, columns, "consignee")
     product = _cell(row, columns, "product")
@@ -153,6 +159,8 @@ def _row_to_record(row: list[str], columns: dict[str, int]):
     except ValueError as exc:
         return None, str(exc)
 
+    if product_transform is not None:
+        product = product_transform(product)
     record = ShipmentRecord(
         shipper=CompanyRef(shipper, role_hint="shipper"),
         consignee=CompanyRef(consignee, role_hint="consignee"),
@@ -166,6 +174,12 @@ def _row_to_record(row: list[str], columns: dict[str, int]):
     return record, ""
 
 
+@functools.lru_cache(maxsize=8)
+def _stop_patterns(stop_phrases: tuple[str, ...]) -> tuple[re.Pattern, ...]:
+    return tuple(re.compile(re.escape(phrase) + r"[.,;]?", re.IGNORECASE)
+                 for phrase in stop_phrases)
+
+
 def normalize_product_desc(text: str, stop_phrases: tuple[str, ...] = DEFAULT_STOP_PHRASES) -> str:
     """Collapse whitespace and strip boilerplate clauses from a description.
 
@@ -174,8 +188,7 @@ def normalize_product_desc(text: str, stop_phrases: tuple[str, ...] = DEFAULT_ST
     """
     collapsed = " ".join(text.split())
     stripped = collapsed
-    for phrase in stop_phrases:
-        pattern = re.compile(re.escape(phrase) + r"[.,;]?", re.IGNORECASE)
+    for pattern in _stop_patterns(stop_phrases):
         stripped = pattern.sub(" ", stripped)
     stripped = " ".join(stripped.split()).strip(" .,;")
     return stripped if stripped else collapsed

@@ -9,7 +9,6 @@ offline by construction.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.resources
 import json
 import logging
@@ -107,13 +106,9 @@ def _print_counts(stage: str, counts: dict[str, int]) -> None:
 
 
 def _ingest_bol(store, path: str, delimiter: str = ",", normalize: bool = False) -> dict[str, int]:
-    records, report = parse_bol_file(path, delimiter=delimiter)
-    if normalize:
-        records = [
-            dataclasses.replace(rec, product_desc=normalize_product_desc(rec.product_desc),
-                                record_id="")
-            for rec in records
-        ]
+    # The module global, looked up per call, so a wrapper set on it is seen.
+    transform = normalize_product_desc if normalize else None
+    records, report = parse_bol_file(path, delimiter=delimiter, product_transform=transform)
     added = skipped = 0
     for rec in records:
         if rec.record_id in store.records:

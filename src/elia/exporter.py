@@ -108,6 +108,12 @@ def _write_graph_json(graph, report, opts, path):
         fh.write("\n")
 
 
+def _require_strings(row: dict, keys: tuple[str, ...]) -> None:
+    for key in keys:
+        if not isinstance(row[key], str):
+            raise TypeError(f"{key!r} must be a string, got {type(row[key]).__name__}")
+
+
 def import_graph_json(path: str) -> SupplyGraph:
     """Rebuild a graph from a graph_json file; exact inverse of export."""
     try:
@@ -128,6 +134,7 @@ def import_graph_json(path: str) -> SupplyGraph:
     graph = SupplyGraph()
     for i, n in enumerate(nodes):
         try:
+            _require_strings(n, ("id", "display_name"))
             if n["id"] in graph.nodes:
                 raise StoreFormatError(f"{path}: nodes[{i}]: duplicate node id {n['id']!r}")
             graph.add_node(n["id"], n["display_name"], float(n["direct_emissions_kg"]))
@@ -139,6 +146,7 @@ def import_graph_json(path: str) -> SupplyGraph:
     factors: dict[tuple, EmissionFactor] = {}
     for i, e in enumerate(edges):
         try:
+            _require_strings(e, ("edge_id", "source", "target", "item"))
             raw = e["factor"]
             key = (repr(raw["per_kg_co2e"]), raw.get("provenance", "manual"))
             factor = factors.get(key)

@@ -9,6 +9,16 @@ Layout of a store directory:
     manifest.json     {"format_version": 1, "created_at": iso-8601}
 
 The store is single-writer; loaded stores are safe to share read-only.
+
+Rows are immutable once added: nothing changes a record, sentence or
+triple in place after ``add_*``, and the alias map is only ever replaced
+or extended. So a table's ordered ids (the alias map's items) say whether
+it changed, and ``save_store`` writes only the tables whose ids differ from
+what that directory was last loaded from or saved with, or whose file is
+missing. Each file is written to ``<name>.tmp`` in the same directory and
+moved over the old one with ``os.replace``, the manifest last, so a process
+killed mid-save leaves every file either old or new, never short. There is
+no fsync: this guards against a crash of the process, not of the machine.
 """
 
 from __future__ import annotations
@@ -36,6 +46,10 @@ class DatasetStore:
     sentences: dict[str, Sentence] = field(default_factory=dict)
     triples: dict[str, TransactionTriple] = field(default_factory=dict)
     alias_map: dict[str, str] = field(default_factory=dict)
+    # The directory (realpath) this store was last loaded from or saved to,
+    # and per table file the snapshot (see ``_tables``) that it holds there.
+    _saved_dir: str | None = field(default=None, init=False, repr=False, compare=False)
+    _saved: dict[str, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_record(self, record: ShipmentRecord) -> str:
         if record.record_id in self.records:
@@ -81,32 +95,64 @@ def new_store() -> DatasetStore:
     return DatasetStore()
 
 
-def _write_ndjson(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, separators=(", ", ": ")))
-            fh.write("\n")
+def _encode_row(row: dict) -> str:
+    return json.dumps(row, ensure_ascii=False, separators=(", ", ": "))
+
+
+def _tables(store: DatasetStore):
+    """``(file name, snapshot, rows)`` per table, rows as lazy dicts.
+
+    The snapshot says whether a table changed: its ordered ids, or for the
+    alias map its items.
+    """
+    return (
+        (RECORDS_FILE, tuple(store.records), (r.to_dict() for r in store.records.values())),
+        (SENTENCES_FILE, tuple(store.sentences),
+         (s.to_dict() for s in store.sentences.values())),
+        (TRIPLES_FILE, tuple(store.triples), (t.to_dict() for t in store.triples.values())),
+        (ALIASES_FILE, tuple(store.alias_map.items()),
+         ({"raw": raw, "canonical_id": cid} for raw, cid in store.alias_map.items())),
+    )
+
+
+def _replace_file(path: str, chunks) -> None:
+    """Write the strings ``chunks`` to ``path + ".tmp"``, then move it over ``path``.
+
+    On any error the temporary file is removed and ``path`` is untouched.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_store(store: DatasetStore, path: str) -> None:
-    """Write the store to ``path`` (a directory, created if missing)."""
+    """Write the store's changed tables, then the manifest, to ``path``.
+
+    ``path`` is a directory, created if missing. A table is written when it
+    differs from what ``path`` was last loaded from or saved with, when
+    ``path`` is another directory, or when its file is missing.
+    """
     os.makedirs(path, exist_ok=True)
-    _write_ndjson(os.path.join(path, RECORDS_FILE), (r.to_dict() for r in store.records.values()))
-    _write_ndjson(
-        os.path.join(path, SENTENCES_FILE), (s.to_dict() for s in store.sentences.values())
-    )
-    _write_ndjson(os.path.join(path, TRIPLES_FILE), (t.to_dict() for t in store.triples.values()))
-    _write_ndjson(
-        os.path.join(path, ALIASES_FILE),
-        ({"raw": raw, "canonical_id": cid} for raw, cid in store.alias_map.items()),
-    )
+    real = os.path.realpath(path)
+    if store._saved_dir != real:
+        store._saved_dir, store._saved = real, {}
+    for name, snapshot, rows in _tables(store):
+        file_path = os.path.join(path, name)
+        if store._saved.get(name) == snapshot and os.path.exists(file_path):
+            continue
+        _replace_file(file_path, (_encode_row(row) + "\n" for row in rows))
+        store._saved[name] = snapshot
     manifest = {
         "format_version": FORMAT_VERSION,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    with open(os.path.join(path, MANIFEST_FILE), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _replace_file(os.path.join(path, MANIFEST_FILE), [json.dumps(manifest, indent=2), "\n"])
 
 
 def load_store(path: str) -> DatasetStore:
@@ -135,6 +181,8 @@ def load_store(path: str) -> DatasetStore:
     for _, d in read_ndjson(aliases_path, StoreFormatError,
                             required={"raw": str, "canonical_id": str}):
         store.alias_map[d["raw"]] = d["canonical_id"]
+    store._saved_dir = os.path.realpath(path)
+    store._saved = {name: snapshot for name, snapshot, _ in _tables(store)}
     return store
 
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
+
+from conftest import fixture_path
 
 from elia.bol import normalize_product_desc, parse_bol_file
 from elia.errors import SchemaError
@@ -121,6 +125,24 @@ def test_parse_is_deterministic(sample_bol_path):
     first = parse_bol_file(str(sample_bol_path))
     second = parse_bol_file(str(sample_bol_path))
     assert [r.record_id for r in first[0]] == [r.record_id for r in second[0]]
+
+
+def test_product_transform_equals_normalizing_parsed_records():
+    path = str(fixture_path("bol_demo.csv"))
+    plain, plain_report = parse_bol_file(path)
+    normalized, report = parse_bol_file(path, product_transform=normalize_product_desc)
+    assert report == plain_report
+    assert normalized == [
+        dataclasses.replace(rec, product_desc=normalize_product_desc(rec.product_desc),
+                            record_id="")
+        for rec in plain
+    ]
+    assert any(rec.product_desc != new.product_desc for rec, new in zip(plain, normalized))
+
+
+def test_normalize_with_other_stop_phrases():
+    assert normalize_product_desc("Steel coils; see invoice.", ("SEE INVOICE",)) == "Steel coils"
+    assert normalize_product_desc("SEE INVOICE") == "SEE INVOICE"
 
 
 def test_normalize_strips_boilerplate():

@@ -242,6 +242,23 @@ def test_malformed_graph_json_names_path_and_index_exits_2(tmp_path, caplog, doc
     assert not report.exists()
 
 
+@pytest.mark.parametrize("fmt", ["gexf", "dot"])
+@pytest.mark.parametrize("section, index, key, value", [
+    pytest.param("nodes", 1, "display_name", 7, id="display-name"),
+    pytest.param("edges", 0, "item", 5, id="item"),
+])
+def test_non_string_graph_json_field_exits_2_on_export(tmp_path, caplog, fmt, section, index,
+                                                       key, value):
+    doc = graph_doc([("a", 0.0), ("b", 0.0)], [("e1", "a", "b", 1.0)])
+    doc[section][index][key] = value
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(doc))
+    out = tmp_path / f"graph.{fmt}"
+    assert run("export", "--format", fmt, "--graph", graph, "--out", out) == 2
+    assert f"{graph}: {section}[{index}]: '{key}' must be a string, got int" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("nodes", [[], {"a": [1.0]}], ids=["nodes-list", "row-not-object"])
 def test_malformed_report_json_exits_2(tmp_path, caplog, nodes):
     graph = tmp_path / "graph.json"
@@ -260,6 +277,23 @@ def test_duplicate_store_row_names_file_and_line_exits_2(tmp_path, caplog):
     records.write_text("".join(lines) + lines[0])
     assert run("--store", store, "resolve") == 2
     assert f"{records}:{len(lines) + 1}: duplicate row: record id already present" in caplog.text
+
+
+def test_stages_that_add_no_records_leave_records_file_alone(tmp_path):
+    store = tmp_path / "store"
+    fx = fixture_path()
+    assert run("--store", store, "ingest-bol", fx / "bol_demo.csv", "--normalize-products") == 0
+    assert run("--store", store, "ingest-transcripts",
+               *sorted((fx / "transcripts").glob("*.txt")), "--gazetteer", fx / "gazetteer.txt") == 0
+    records = store / "records.ndjson"
+    before = (records.stat().st_ino, records.read_bytes())
+    triples_ino = (store / "triples.ndjson").stat().st_ino
+    assert run("--store", store, "extract",
+               "--backend", "recorded", "--fixture", fx / "mock_responses.ndjson") == 0
+    assert run("--store", store, "resolve") == 0
+    assert (records.stat().st_ino, records.read_bytes()) == before
+    assert (store / "triples.ndjson").stat().st_ino != triples_ino
+    assert not list(store.glob("*.tmp"))
 
 
 def test_demo_runs_offline(tmp_path, capsys):

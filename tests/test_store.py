@@ -5,9 +5,12 @@ import random
 
 import pytest
 
+from elia import store as store_module
 from elia.core import CompanyRef, Sentence, ShipmentRecord, TransactionTriple
 from elia.errors import DuplicateIdError, StoreFormatError, StoreVersionError
 from elia.store import load_store, new_store, save_store
+
+TABLE_FILES = {"records.ndjson", "sentences.ndjson", "triples.ndjson", "aliases.ndjson"}
 
 
 def make_record(shipper="ACME CO", consignee="BUYER LLC", product="WIDGETS", qty=1, weight=10.0):
@@ -162,3 +165,118 @@ def test_version_mismatch(tmp_path):
     (store_dir / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(StoreVersionError):
         load_store(str(store_dir))
+
+
+def small_store(n=5):
+    store = new_store()
+    for i in range(n):
+        store.add_record(make_record(shipper=f"SHIPPER {i} LTD", qty=i))
+    sentence = Sentence(transcript_id="call1", index=0, text="ACME CO supplies us.")
+    store.add_sentence(sentence)
+    store.add_triple(TransactionTriple(buyer=CompanyRef("US CORP", role_hint="buyer"),
+                                       supplier=None, item="parts", source_id=sentence.id))
+    store.alias_map["ACME CO"] = "c0001"
+    return store
+
+
+def file_state(store_dir):
+    """Inode and bytes of each table file (the manifest carries a timestamp)."""
+    return {
+        name: ((store_dir / name).stat().st_ino, (store_dir / name).read_bytes())
+        for name in TABLE_FILES
+    }
+
+
+def test_save_writes_only_changed_tables(tmp_path):
+    store_dir = tmp_path / "store"
+    store = small_store()
+    save_store(store, str(store_dir))
+    before = file_state(store_dir)
+    store.add_record(make_record(shipper="LATE ARRIVAL CO"))
+    save_store(store, str(store_dir))
+    after = file_state(store_dir)
+    assert after.pop("records.ndjson")[0] != before.pop("records.ndjson")[0]
+    assert after == before
+    assert load_store(str(store_dir)) == store
+
+
+def test_loaded_store_saves_nothing_unchanged(tmp_path):
+    store_dir = tmp_path / "store"
+    save_store(small_store(), str(store_dir))
+    # The loader skips blank lines, so a trailing one survives only if the
+    # file is not written again.
+    for name in TABLE_FILES:
+        with open(store_dir / name, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+    before = file_state(store_dir)
+    loaded = load_store(str(store_dir))
+    save_store(loaded, str(store_dir))
+    assert file_state(store_dir) == before
+
+
+def test_snapshot_is_left_out_of_eq_and_repr(tmp_path):
+    saved = small_store()
+    save_store(saved, str(tmp_path / "store"))
+    fresh = small_store()
+    assert saved == fresh
+    assert repr(saved) == repr(fresh)
+
+
+def test_save_to_a_second_directory_writes_every_file(tmp_path):
+    save_store(small_store(2), str(tmp_path / "two"))
+    store = small_store()
+    save_store(store, str(tmp_path / "one"))
+    save_store(store, str(tmp_path / "two"))
+    assert {p.name for p in (tmp_path / "two").iterdir()} == TABLE_FILES | {"manifest.json"}
+    for name in TABLE_FILES:
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    assert load_store(str(tmp_path / "two")) == store
+
+
+def test_deleted_table_file_is_rewritten_on_next_save(tmp_path):
+    store_dir = tmp_path / "store"
+    store = small_store()
+    save_store(store, str(store_dir))
+    expected = (store_dir / "sentences.ndjson").read_bytes()
+    (store_dir / "sentences.ndjson").unlink()
+    save_store(store, str(store_dir))
+    assert (store_dir / "sentences.ndjson").read_bytes() == expected
+    assert load_store(str(store_dir)) == store
+
+
+def test_failed_save_leaves_old_table_and_no_temp_file(tmp_path, monkeypatch):
+    store_dir = tmp_path / "store"
+    save_store(small_store(), str(store_dir))
+    old_bytes = (store_dir / "records.ndjson").read_bytes()
+    old_store = load_store(str(store_dir))
+
+    grown = load_store(str(store_dir))
+    for i in range(5, 10):
+        grown.add_record(make_record(shipper=f"SHIPPER {i} LTD", qty=i))
+    encode_row = store_module._encode_row
+    encoded = []
+
+    def encode_then_fail(row):
+        if len(encoded) == 3:
+            raise RuntimeError("disk on fire")
+        encoded.append(row)
+        return encode_row(row)
+
+    monkeypatch.setattr(store_module, "_encode_row", encode_then_fail)
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        save_store(grown, str(store_dir))
+    assert len(encoded) == 3
+    assert (store_dir / "records.ndjson").read_bytes() == old_bytes
+    assert not list(store_dir.glob("*.tmp"))
+    assert load_store(str(store_dir)) == old_store
+
+
+def test_load_save_load_round_trips_bytes(tmp_path, sample_records):
+    store = small_store()
+    for rec in sample_records:
+        store.add_record(rec)
+    save_store(store, str(tmp_path / "a"))
+    save_store(load_store(str(tmp_path / "a")), str(tmp_path / "b"))
+    for name in TABLE_FILES:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+    assert load_store(str(tmp_path / "b")) == store
