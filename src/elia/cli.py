@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bol import normalize_product_desc, parse_bol_file
 from .config import Config, load_config
-from .core import EmissionFactor
+from .core import EmissionFactor, replace_file
 from .errors import (
     BackendError,
     ConfigError,
@@ -316,9 +316,8 @@ def cmd_eval(args, cfg: Config) -> int:
     metrics = score(predictions, gold)
     print(render_metrics_table(metrics))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(metrics_to_dict(metrics), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(metrics_to_dict(metrics), indent=2, sort_keys=True)
+        replace_file(args.out, [text, "\n"])
     return 0
 
 

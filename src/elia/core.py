@@ -7,8 +7,11 @@ newline-delimited store files stay diffable.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -21,6 +24,56 @@ def content_hash(*parts: object, prefix: str = "", length: int = 16) -> str:
     """Deterministic id from the given parts (stable across re-ingestion)."""
     payload = json.dumps([str(p) for p in parts], separators=(",", ":"))
     return prefix + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:length]
+
+
+@contextlib.contextmanager
+def no_gc():
+    """Keep the cyclic garbage collector off for the body of the block.
+
+    Bulk loaders build many thousands of objects that form no reference
+    cycles, and each allocation burst would otherwise trigger collections
+    that walk everything decoded so far. The collector's state on entry is
+    restored on exit, also on an exception, so nested blocks and callers
+    that already disabled it keep their setting. Use it as ``with no_gc():``
+    or decorate a loader with ``@no_gc()``; scope it to one load, not to a
+    whole command.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def replace_file(path: str, chunks, errors: str | None = None,
+                 newline: str | None = None) -> None:
+    """Write the strings ``chunks`` to ``path + ".tmp"``, then move it over ``path``.
+
+    The file is opened as UTF-8 text with the given ``errors`` and
+    ``newline`` (as for ``open``). On any error the temporary file is
+    removed and ``path`` is untouched, so a killed or failing writer never
+    leaves a short file. There is no fsync: this guards against a crash of
+    the process, not of the machine. A symlink at ``path`` is followed, so
+    the link stays and the file it names is replaced. A target that exists
+    but is not a regular file (a pipe or device, such as ``/dev/stdout``)
+    cannot be replaced and is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", errors=errors, newline=newline) as fh:
+            fh.writelines(chunks)
+        return
+    path = os.path.realpath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", errors=errors, newline=newline) as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def is_placeholder(text: str | None) -> bool:

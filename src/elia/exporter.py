@@ -9,15 +9,22 @@ GEXF is written directly as text, one line per element, in a single write.
 Its bytes are pinned against the original ElementTree writer
 (``tests/oracles.py::oracle_write_gexf``): same attribute escaping,
 two-space indent, ``" />"`` empty tags and no final newline.
+
+Every file written here (graph_json, GEXF, DOT and ``report.json``) goes
+through ``core.replace_file``: a temporary file moved over the target, so an
+interrupted write leaves the previous file whole. ``import_graph_json`` and
+``load_report_json`` build their objects with the cyclic garbage collector
+off (``core.no_gc``); the decoded documents and the graph hold no cycles.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
 
-from .core import EmissionFactor
+from .core import EmissionFactor, no_gc, replace_file
 from .errors import DuplicateIdError, NodeNotFoundError, StoreFormatError, UsageError
 from .graph import ELiabilityReport, SupplyGraph
 
@@ -103,9 +110,8 @@ def _write_graph_json(graph, report, opts, path):
     }
     if report is not None:
         doc["report"] = report.to_dict()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    chunks = json.JSONEncoder(ensure_ascii=False, indent=2).iterencode(doc)
+    replace_file(path, itertools.chain(chunks, ["\n"]))
 
 
 def _require_strings(row: dict, keys: tuple[str, ...]) -> None:
@@ -114,6 +120,7 @@ def _require_strings(row: dict, keys: tuple[str, ...]) -> None:
             raise TypeError(f"{key!r} must be a string, got {type(row[key]).__name__}")
 
 
+@no_gc()
 def import_graph_json(path: str) -> SupplyGraph:
     """Rebuild a graph from a graph_json file; exact inverse of export."""
     try:
@@ -132,9 +139,14 @@ def import_graph_json(path: str) -> SupplyGraph:
         if not isinstance(value, list):
             raise StoreFormatError(f"{path}: {key}: expected a list, got {type(value).__name__}")
     graph = SupplyGraph()
+    # A row whose string fields are all exact str passes the cheap tests
+    # below. Any other row goes through _require_strings only to raise its
+    # error: the first key, in order, that is missing or not a string.
     for i, n in enumerate(nodes):
         try:
-            _require_strings(n, ("id", "display_name"))
+            if (type(n) is not dict or type(n.get("id")) is not str
+                    or type(n.get("display_name")) is not str):
+                _require_strings(n, ("id", "display_name"))
             if n["id"] in graph.nodes:
                 raise StoreFormatError(f"{path}: nodes[{i}]: duplicate node id {n['id']!r}")
             graph.add_node(n["id"], n["display_name"], float(n["direct_emissions_kg"]))
@@ -146,7 +158,10 @@ def import_graph_json(path: str) -> SupplyGraph:
     factors: dict[tuple, EmissionFactor] = {}
     for i, e in enumerate(edges):
         try:
-            _require_strings(e, ("edge_id", "source", "target", "item"))
+            if (type(e) is not dict or type(e.get("edge_id")) is not str
+                    or type(e.get("source")) is not str or type(e.get("target")) is not str
+                    or type(e.get("item")) is not str):
+                _require_strings(e, ("edge_id", "source", "target", "item"))
             raw = e["factor"]
             key = (repr(raw["per_kg_co2e"]), raw.get("provenance", "manual"))
             factor = factors.get(key)
@@ -165,6 +180,7 @@ def import_graph_json(path: str) -> SupplyGraph:
     return graph
 
 
+@no_gc()
 def load_report_json(path: str) -> ELiabilityReport:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -178,9 +194,7 @@ def load_report_json(path: str) -> ELiabilityReport:
 
 
 def save_report_json(report: ELiabilityReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    replace_file(path, [report.to_json(), "\n"])
 
 
 _ATTR_ESCAPES = str.maketrans({
@@ -258,8 +272,7 @@ def _write_gexf(graph, report, opts, path):
     lines += ["  </graph>", "</gexf>"]
     # ElementTree's own file settings, so characters UTF-8 cannot encode
     # (a lone surrogate) still become numeric character references.
-    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace", newline="\n") as fh:
-        fh.write("\n".join(lines))
+    replace_file(path, ["\n".join(lines)], errors="xmlcharrefreplace", newline="\n")
 
 
 def _dot_escape(text: str) -> str:
@@ -281,5 +294,4 @@ def _write_dot(graph, report, opts, path):
             f'[weight="{weight}", label="{_dot_escape(edge.item)}"];'
         )
     lines.append("}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    replace_file(path, ["\n".join(lines), "\n"])

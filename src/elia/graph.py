@@ -23,7 +23,14 @@ Propagation modes:
   whose iteration does not settle below the tolerance (a closed cycle with
   no outflow has no finite solution) raises ``CycleError``, so a returned
   report is always converged. Its residual is the largest final per-node
-  change over the cyclic components: 0 on a DAG.
+  change over the cyclic components: 0 on a DAG. An acyclic node's
+  inherited and transferred sums are kept from the pass that pools it;
+  the report's row pass sums only the nodes of cyclic components (and
+  every node under ``one_hop``).
+
+``ELiabilityReport.to_json`` writes ``report.json`` from string templates,
+byte for byte what ``json.dumps(to_dict(), sort_keys=True, indent=2)``
+gives, including the integer ``0`` that ``sum()`` yields over no edges.
 
 The mass-proportional allocation rule is this library's documented
 convention for multi-hop accounting; only the one-hop computation is
@@ -33,10 +40,10 @@ standard.
 from __future__ import annotations
 
 import fnmatch
-import json
 import random
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Mapping
 
 from .core import EmissionFactor, read_ndjson
@@ -308,7 +315,26 @@ class ELiabilityReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``, from templates.
+
+        Keys are written in sorted order, ids through json's own ASCII string
+        encoder and numbers as json writes them (``repr``, with ``NaN`` and
+        ``Infinity`` for non-finite floats), so the bytes are the same.
+        """
+        rows = ",\n".join(
+            f"    {_json_str(nid)}: {{\n"
+            f'      "direct_kg": {_json_num(row.direct_kg)},\n'
+            f'      "inherited_kg": {_json_num(row.inherited_kg)},\n'
+            f'      "retained_kg": {_json_num(row.retained_kg)},\n'
+            f'      "transferred_kg": {_json_num(row.transferred_kg)}\n'
+            f"    }}"
+            for nid, row in sorted(self.nodes.items())
+        )
+        nodes = f"{{\n{rows}\n  }}" if rows else "{}"
+        return (
+            f'{{\n  "mode": {_json_str(self.mode)},\n  "nodes": {nodes},\n'
+            f'  "residual": {_json_num(self.residual)}\n}}'
+        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "ELiabilityReport":
@@ -325,6 +351,14 @@ class ELiabilityReport:
                 for nid, row in d["nodes"].items()
             },
         )
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_num(value: float) -> str:
+    text = repr(value)
+    return _JSON_NONFINITE.get(text, text)
 
 
 def _adjacency(graph: SupplyGraph):
@@ -451,6 +485,8 @@ def propagate(
         raise CycleError(f"graph contains a cycle: {' -> '.join(cycle)}", cycle=cycle)
 
     share: dict[str, float] = {e.edge_id: 0.0 for e in graph.edges}
+    # (inherited, transferred) of each node pooled once, kept from that pass.
+    sums: dict[str, tuple[float, float]] = {}
     residual = 0.0
     for component, is_cyclic in zip(components, cyclic):
         if is_cyclic:
@@ -464,15 +500,18 @@ def propagate(
             residual = max(residual, change)
         else:
             (nid,) = component
-            pool = graph.nodes[nid].direct_emissions_kg + sum(
-                e.edge_liability_kg + share[e.edge_id] for e in incoming[nid]
-            )
-            share.update(_allocate(pool, outgoing[nid]))
+            inherited = sum(e.edge_liability_kg + share[e.edge_id] for e in incoming[nid])
+            allocation = _allocate(graph.nodes[nid].direct_emissions_kg + inherited, outgoing[nid])
+            share.update(allocation)
+            sums[nid] = inherited, sum(allocation.values())
 
     rows = {}
     for nid, node in graph.nodes.items():
-        inherited = sum(e.edge_liability_kg + share[e.edge_id] for e in incoming[nid])
-        transferred = sum(share[e.edge_id] for e in outgoing[nid]) if full else 0.0
+        if nid in sums:
+            inherited, transferred = sums[nid]
+        else:
+            inherited = sum(e.edge_liability_kg + share[e.edge_id] for e in incoming[nid])
+            transferred = sum(share[e.edge_id] for e in outgoing[nid]) if full else 0.0
         rows[nid] = NodeLiability(
             direct_kg=node.direct_emissions_kg,
             inherited_kg=inherited,

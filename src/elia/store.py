@@ -15,10 +15,12 @@ triple in place after ``add_*``, and the alias map is only ever replaced
 or extended. So a table's ordered ids (the alias map's items) say whether
 it changed, and ``save_store`` writes only the tables whose ids differ from
 what that directory was last loaded from or saved with, or whose file is
-missing. Each file is written to ``<name>.tmp`` in the same directory and
-moved over the old one with ``os.replace``, the manifest last, so a process
-killed mid-save leaves every file either old or new, never short. There is
-no fsync: this guards against a crash of the process, not of the machine.
+missing. Each file goes through ``core.replace_file`` (``<name>.tmp`` in
+the same directory, then ``os.replace`` over the old one), the manifest
+last, so a process killed mid-save leaves every file either old or new,
+never short. There is no fsync: this guards against a crash of the
+process, not of the machine. ``load_store`` builds its rows with the
+cyclic garbage collector off (``core.no_gc``): rows hold no cycles.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .core import Sentence, ShipmentRecord, TransactionTriple, read_ndjson
+from .core import Sentence, ShipmentRecord, TransactionTriple, no_gc, read_ndjson, replace_file
 from .errors import DuplicateIdError, StoreFormatError, StoreVersionError
 
 FORMAT_VERSION = 1
@@ -115,22 +117,6 @@ def _tables(store: DatasetStore):
     )
 
 
-def _replace_file(path: str, chunks) -> None:
-    """Write the strings ``chunks`` to ``path + ".tmp"``, then move it over ``path``.
-
-    On any error the temporary file is removed and ``path`` is untouched.
-    """
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def save_store(store: DatasetStore, path: str) -> None:
     """Write the store's changed tables, then the manifest, to ``path``.
 
@@ -146,15 +132,16 @@ def save_store(store: DatasetStore, path: str) -> None:
         file_path = os.path.join(path, name)
         if store._saved.get(name) == snapshot and os.path.exists(file_path):
             continue
-        _replace_file(file_path, (_encode_row(row) + "\n" for row in rows))
+        replace_file(file_path, (_encode_row(row) + "\n" for row in rows))
         store._saved[name] = snapshot
     manifest = {
         "format_version": FORMAT_VERSION,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    _replace_file(os.path.join(path, MANIFEST_FILE), [json.dumps(manifest, indent=2), "\n"])
+    replace_file(os.path.join(path, MANIFEST_FILE), [json.dumps(manifest, indent=2), "\n"])
 
 
+@no_gc()
 def load_store(path: str) -> DatasetStore:
     """Load a store directory; raises on malformed files or version skew."""
     manifest_path = os.path.join(path, MANIFEST_FILE)

@@ -4,9 +4,9 @@ import hashlib
 import json
 
 import pytest
-from conftest import fixture_path
+from conftest import fixture_path, replace_file_failing_partway
 
-from elia import transcripts
+from elia import cli, transcripts
 from elia.cli import main
 from elia.core import EmissionFactor
 from elia.exporter import ExportOptions, export, import_graph_json
@@ -54,6 +54,17 @@ def test_eval_subcommand_prints_scores(tmp_path, capsys):
     assert supplier_line.split() == ["Supplier", "1.000", "0.958", "0.979", "0.958"]
     data = json.loads(out_json.read_text())
     assert data["buyer"]["f1"] == 1.0
+
+
+def test_failed_eval_out_write_keeps_old_file(tmp_path, monkeypatch):
+    out_json = tmp_path / "metrics.json"
+    out_json.write_text("old metrics\n")
+    monkeypatch.setattr(cli, "replace_file", replace_file_failing_partway)
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        run("eval", "--pred", fixture_path("eval", "pred.ndjson"),
+            "--gold", fixture_path("eval", "gold.ndjson"), "--out", out_json)
+    assert out_json.read_text() == "old metrics\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_eval_bad_gold_file_exits_1(tmp_path):

@@ -1,0 +1,112 @@
+from __future__ import annotations
+
+import gc
+import os
+import stat
+import threading
+
+import pytest
+
+from elia.core import no_gc, replace_file
+
+
+@pytest.fixture
+def gc_state():
+    """Give each test the collector on, and put back what it was afterwards."""
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_no_gc_turns_collector_off_and_back_on(gc_state):
+    with no_gc():
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def test_no_gc_restores_collector_after_an_exception(gc_state):
+    with pytest.raises(RuntimeError, match="load failed"):
+        with no_gc():
+            raise RuntimeError("load failed")
+    assert gc.isenabled()
+
+
+def test_no_gc_leaves_collector_off_when_it_was_off(gc_state):
+    gc.disable()
+    with no_gc():
+        assert not gc.isenabled()
+    assert not gc.isenabled()
+
+
+def test_nested_no_gc_restores_the_outer_state(gc_state):
+    with no_gc():
+        with no_gc():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def test_no_gc_as_decorator_restores_collector_on_return_and_raise(gc_state):
+    @no_gc()
+    def load(fail):
+        assert not gc.isenabled()
+        if fail:
+            raise ValueError("bad row")
+        return "loaded"
+
+    assert load(False) == "loaded"
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="bad row"):
+        load(True)
+    assert gc.isenabled()
+
+
+def test_replace_file_writes_chunks_with_open_options(tmp_path):
+    path = tmp_path / "out.txt"
+    replace_file(str(path), ["a\n", "\ud800"], errors="xmlcharrefreplace", newline="\n")
+    assert path.read_bytes() == b"a\n&#55296;"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_replace_file_failing_partway_keeps_old_bytes_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old contents\n")
+    written = []
+
+    def chunks():
+        for i in range(10_000):
+            if i == 5_000:
+                raise RuntimeError("disk on fire")
+            written.append(i)
+            yield f"line {i}\n"
+
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        replace_file(str(path), chunks())
+    assert len(written) == 5_000
+    assert path.read_text() == "old contents\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_replace_file_follows_a_symlink_and_keeps_it(tmp_path):
+    (tmp_path / "real.txt").write_text("old\n")
+    link = tmp_path / "out.txt"
+    link.symlink_to("real.txt")
+    replace_file(str(link), ["new\n"])
+    assert link.is_symlink()
+    assert (tmp_path / "real.txt").read_text() == "new\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_replace_file_writes_a_pipe_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    replace_file(str(fifo), ["a", "b"])
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [b"ab"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert not list(tmp_path.glob("*.tmp"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
 import re
@@ -10,7 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import replace_file_failing_partway
 from oracles import oracle_write_gexf, random_multigraph
+
+from elia import exporter
 
 from elia.core import FACTOR_PROVENANCES, EmissionFactor
 from elia.errors import StoreFormatError, UsageError
@@ -286,6 +290,65 @@ def test_export_options_validation():
 def test_export_unwritable_path():
     with pytest.raises(OSError):
         export(chain_graph(), None, ExportOptions(format="graph_json"), "/nonexistent-dir/g.json")
+
+
+def _export_as(fmt):
+    return lambda graph, path: export(graph, propagate(graph), ExportOptions(format=fmt), path)
+
+
+@pytest.mark.parametrize("write", [
+    pytest.param(_export_as("graph_json"), id="graph_json"),
+    pytest.param(_export_as("gexf"), id="gexf"),
+    pytest.param(_export_as("dot"), id="dot"),
+    pytest.param(lambda graph, path: save_report_json(propagate(graph), path), id="report_json"),
+])
+def test_failed_write_keeps_old_file_and_no_temp_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out"
+    write(chain_graph(), str(path))
+    old_bytes = path.read_bytes()
+    monkeypatch.setattr(exporter, "replace_file", replace_file_failing_partway)
+    grown = chain_graph()
+    grown.add_node("d", "D", 5.0)
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        write(grown, str(path))
+    assert path.read_bytes() == old_bytes
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_graph_json_export_failing_mid_stream_keeps_old_file(tmp_path):
+    path = tmp_path / "g.json"
+    export(chain_graph(), None, ExportOptions(format="graph_json"), str(path))
+    old_bytes = path.read_bytes()
+    g = chain_graph()
+    g.nodes["c"].display_name = object()  # json cannot encode it, after nodes a and b
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        export(g, None, ExportOptions(format="graph_json"), str(path))
+    assert path.read_bytes() == old_bytes
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_loaders_build_with_gc_off_and_restore_it(tmp_path, monkeypatch):
+    graph_path, report_path = tmp_path / "g.json", tmp_path / "report.json"
+    export(chain_graph(), None, ExportOptions(format="graph_json"), str(graph_path))
+    save_report_json(propagate(chain_graph()), str(report_path))
+    seen = []
+    add_node, from_dict = SupplyGraph.add_node, ELiabilityReport.from_dict.__func__
+
+    def spy_add_node(self, *args):
+        seen.append(gc.isenabled())
+        return add_node(self, *args)
+
+    def spy_from_dict(cls, doc):
+        seen.append(gc.isenabled())
+        return from_dict(cls, doc)
+
+    monkeypatch.setattr(SupplyGraph, "add_node", spy_add_node)
+    monkeypatch.setattr(ELiabilityReport, "from_dict", classmethod(spy_from_dict))
+    assert gc.isenabled()
+    import_graph_json(str(graph_path))
+    load_report_json(str(report_path))
+    assert seen == [False] * 4
+    assert gc.isenabled()
 
 
 def test_report_json_round_trip(tmp_path):

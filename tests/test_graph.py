@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import oracle_propagate, oracle_retained, random_dag, random_multigraph
 
@@ -11,7 +13,10 @@ from elia.core import CompanyRef, EmissionFactor, Sentence, TransactionTriple
 from elia.errors import CycleError, DuplicateIdError, NodeNotFoundError, UsageError
 from elia.graph import (
     FactorSampler,
+    MODES,
+    ELiabilityReport,
     FactorTable,
+    NodeLiability,
     SupplyGraph,
     build_graph,
     load_factor_table,
@@ -311,6 +316,30 @@ def test_scaling_property():
 def test_report_bytes_deterministic():
     g = chain_graph()
     assert propagate(g).to_json() == propagate(g).to_json()
+
+
+# Ids with characters json escapes (quote, backslash, control characters),
+# non-ASCII text, an astral character and a lone surrogate.
+_REPORT_IDS = st.text(st.sampled_from(list('"\\/\x00\x1f\x7f\n\t aZ0é中\U0001d11e') + ["\ud800"]),
+                      max_size=5)
+# Values json spells in every way it has: negative zero, a subnormal, an
+# exponent either side of repr's fixed-point range, the non-finite floats,
+# and the integer 0 that sum() gives over no edges.
+_REPORT_VALUES = (
+    st.sampled_from([0, -0.0, 5e-324, 1e16, 1e-7, math.inf, -math.inf, math.nan])
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_REPORT_ROWS = st.builds(NodeLiability, _REPORT_VALUES, _REPORT_VALUES, _REPORT_VALUES,
+                         _REPORT_VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(ELiabilityReport, st.sampled_from(MODES), _REPORT_VALUES,
+                 st.dictionaries(_REPORT_IDS, _REPORT_ROWS, max_size=6)))
+@example(ELiabilityReport("one_hop", 0.0, {}))
+@example(ELiabilityReport("full_propagation", 0, {"a": NodeLiability(1.0, 0, 0, 1.0)}))
+def test_report_json_matches_json_dumps(report):
+    assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2)
 
 
 def test_retained_never_meaningfully_negative():

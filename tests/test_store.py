@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 
@@ -269,6 +270,22 @@ def test_failed_save_leaves_old_table_and_no_temp_file(tmp_path, monkeypatch):
     assert (store_dir / "records.ndjson").read_bytes() == old_bytes
     assert not list(store_dir.glob("*.tmp"))
     assert load_store(str(store_dir)) == old_store
+
+
+def test_load_store_builds_rows_with_gc_off_and_restores_it(tmp_path, monkeypatch):
+    save_store(small_store(), str(tmp_path))
+    seen = []
+    load_rows = store_module._load_rows
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return load_rows(*args)
+
+    monkeypatch.setattr(store_module, "_load_rows", spy)
+    assert gc.isenabled()
+    assert load_store(str(tmp_path)) == small_store()
+    assert seen == [False] * 3
+    assert gc.isenabled()
 
 
 def test_load_save_load_round_trips_bytes(tmp_path, sample_records):
