@@ -26,6 +26,15 @@ def content_hash(*parts: object, prefix: str = "", length: int = 16) -> str:
     return prefix + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:length]
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_number(value: float) -> str:
+    """A number as ``json`` writes it: ``repr``, with ``NaN`` and ``Infinity``."""
+    text = repr(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
 @contextlib.contextmanager
 def no_gc():
     """Keep the cyclic garbage collector off for the body of the block.

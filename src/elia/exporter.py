@@ -5,10 +5,14 @@ exact inverse of ``export`` with format="graph_json". GEXF and DOT are
 one-way visualization exports. Numeric attributes are written with six
 decimal places so golden files stay byte-stable.
 
-GEXF is written directly as text, one line per element, in a single write.
-Its bytes are pinned against the original ElementTree writer
-(``tests/oracles.py::oracle_write_gexf``): same attribute escaping,
-two-space indent, ``" />"`` empty tags and no final newline.
+Every format is written from text templates, one element at a time, and
+streamed to the file in chunks of a few hundred lines, so the whole
+document never exists in memory at once. GEXF bytes are pinned against
+the original ElementTree writer (``tests/oracles.py::oracle_write_gexf``):
+same attribute escaping, two-space indent, ``" />"`` empty tags and no
+final newline; characters XML does not allow become U+FFFD. graph_json
+bytes are those of ``json.JSONEncoder(ensure_ascii=False, indent=2)``
+plus a final newline.
 
 Every file written here (graph_json, GEXF, DOT and ``report.json``) goes
 through ``core.replace_file``: a temporary file moved over the target, so an
@@ -19,12 +23,14 @@ off (``core.no_gc``); the decoded documents and the graph hold no cycles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
-from .core import EmissionFactor, no_gc, replace_file
+from .core import EmissionFactor, json_number, no_gc, replace_file
 from .errors import DuplicateIdError, NodeNotFoundError, StoreFormatError, UsageError
 from .graph import ELiabilityReport, SupplyGraph
 
@@ -49,6 +55,8 @@ class ExportOptions:
             raise UsageError(f"unknown weight attribute: {self.weight_attr!r}")
 
 
+# The test oracles format and pick weights with these two; the writers
+# below inline the same ``:.6f`` format and choice.
 def _fixed(value: float) -> str:
     return f"{value:.6f}"
 
@@ -75,43 +83,105 @@ def export(
 ) -> None:
     """Write the graph (plus optional per-node report values) to ``path``."""
     if opts.format == "graph_json":
-        _write_graph_json(graph, report, opts, path)
+        replace_file(path, _chunks(_graph_json_lines(graph, report, opts), "\n"))
     elif opts.format == "gexf":
-        _write_gexf(graph, report, opts, path)
+        # ElementTree's own file settings, so characters UTF-8 cannot encode
+        # (a lone surrogate) still become numeric character references.
+        replace_file(path, _chunks(_gexf_lines(graph, report, opts), ""),
+                     errors="xmlcharrefreplace", newline="\n")
     else:
-        _write_dot(graph, report, opts, path)
+        replace_file(path, _chunks(_dot_lines(graph, report, opts), "\n"))
 
 
-def _write_graph_json(graph, report, opts, path):
-    doc = {
-        "format": "supply-graph",
-        "version": GRAPH_JSON_VERSION,
-        "directed": True,
-        "nodes": [
-            {
-                "id": n.canonical_id,
-                "display_name": n.display_name,
-                "direct_emissions_kg": n.direct_emissions_kg,
-            }
-            for n in _visible_nodes(graph, opts.include_isolates)
-        ],
-        "edges": [
-            {
-                "edge_id": e.edge_id,
-                "source": e.source,
-                "target": e.target,
-                "item": e.item,
-                "mass_kg": e.mass_kg,
-                "factor": e.factor.to_dict(),
-                "edge_liability_kg": e.edge_liability_kg,
-            }
-            for e in graph.edges
-        ],
-    }
+_CHUNK_LINES = 256
+
+
+def _chunks(lines, end: str):
+    r"""Yield ``"\n".join(lines) + end`` as pieces of at most _CHUNK_LINES lines.
+
+    Only one piece exists at a time, so an export's extra memory does not
+    grow with the graph.
+    """
+    lines = iter(lines)
+    sep = ""
+    while batch := list(itertools.islice(lines, _CHUNK_LINES)):
+        yield sep + "\n".join(batch)
+        sep = "\n"
+    yield end
+
+
+def _json_str(text: str) -> str:
+    """``text`` as ``json`` writes it with ``ensure_ascii=False``; json's error otherwise."""
+    try:
+        return encode_basestring(text)
+    except TypeError:
+        raise TypeError(f"Object of type {type(text).__name__} is not JSON serializable") from None
+
+
+def _json_items(head: str, items, tail: str, brackets: str = "[]", indent: str = "  "):
+    """Lines of ``head`` + a json container of the pre-rendered ``items`` + ``tail``.
+
+    Items are comma-separated and the closing bracket sits at ``indent``,
+    as ``json.JSONEncoder(indent=2)`` lays them out; an empty container is
+    ``[]`` or ``{}`` on the head line.
+    """
+    items = iter(items)
+    prev = next(items, None)
+    if prev is None:
+        yield f"{head}{brackets}{tail}"
+        return
+    yield head + brackets[0]
+    for item in items:
+        yield prev + ","
+        prev = item
+    yield prev
+    yield f"{indent}{brackets[1]}{tail}"
+
+
+def _graph_json_lines(graph, report, opts):
+    """graph_json, byte for byte ``json.JSONEncoder(ensure_ascii=False, indent=2)``.
+
+    Strings go through json's own encoder and numbers are written as json
+    writes them (``json_number``). A string field holding anything but a
+    string raises json's ``TypeError`` before the file is replaced.
+    """
+    # Ids, items and provenances repeat across edges: escape each once.
+    string = functools.cache(_json_str)
+    yield f'{{\n  "format": "supply-graph",\n  "version": {GRAPH_JSON_VERSION},\n  "directed": true,'
+    yield from _json_items('  "nodes": ', (
+        f'    {{\n      "id": {string(n.canonical_id)},\n'
+        f'      "display_name": {_json_str(n.display_name)},\n'
+        f'      "direct_emissions_kg": {json_number(n.direct_emissions_kg)}\n    }}'
+        for n in _visible_nodes(graph, opts.include_isolates)
+    ), ",")
+    yield from _json_items('  "edges": ', (
+        f'    {{\n      "edge_id": {_json_str(e.edge_id)},\n'
+        f'      "source": {string(e.source)},\n'
+        f'      "target": {string(e.target)},\n'
+        f'      "item": {string(e.item)},\n'
+        f'      "mass_kg": {json_number(e.mass_kg)},\n'
+        f'      "factor": {{\n'
+        f'        "per_kg_co2e": {json_number(e.factor.per_kg_co2e)},\n'
+        f'        "provenance": {string(e.factor.provenance)}\n'
+        f'      }},\n'
+        f'      "edge_liability_kg": {json_number(e.edge_liability_kg)}\n    }}'
+        for e in graph.edges
+    ), "" if report is None else ",")
     if report is not None:
-        doc["report"] = report.to_dict()
-    chunks = json.JSONEncoder(ensure_ascii=False, indent=2).iterencode(doc)
-    replace_file(path, itertools.chain(chunks, ["\n"]))
+        # report.to_dict(): keys in insertion order, node rows sorted by id
+        yield '  "report": {'
+        yield f'    "mode": {_json_str(report.mode)},'
+        yield f'    "residual": {json_number(report.residual)},'
+        yield from _json_items('    "nodes": ', (
+            f'      {string(nid)}: {{\n'
+            f'        "direct_kg": {json_number(row.direct_kg)},\n'
+            f'        "inherited_kg": {json_number(row.inherited_kg)},\n'
+            f'        "transferred_kg": {json_number(row.transferred_kg)},\n'
+            f'        "retained_kg": {json_number(row.retained_kg)}\n      }}'
+            for nid, row in sorted(report.nodes.items())
+        ), "", "{}", "    ")
+        yield "  }"
+    yield "}"
 
 
 def _require_strings(row: dict, keys: tuple[str, ...]) -> None:
@@ -142,7 +212,10 @@ def import_graph_json(path: str) -> SupplyGraph:
     # A row whose string fields are all exact str passes the cheap tests
     # below. Any other row goes through _require_strings only to raise its
     # error: the first key, in order, that is missing or not a string.
-    for i, n in enumerate(nodes):
+    # Each decoded row is dropped from its list once its node or edge is
+    # built, so the document and the graph are not both held in full.
+    for i in range(len(nodes)):
+        n, nodes[i] = nodes[i], None
         try:
             if (type(n) is not dict or type(n.get("id")) is not str
                     or type(n.get("display_name")) is not str):
@@ -156,7 +229,8 @@ def import_graph_json(path: str) -> SupplyGraph:
     # instance, built (and validated) the first time its pair appears. The
     # value is keyed by repr because 0.0 == -0.0, and both must round-trip.
     factors: dict[tuple, EmissionFactor] = {}
-    for i, e in enumerate(edges):
+    for i in range(len(edges)):
+        e, edges[i] = edges[i], None
         try:
             if (type(e) is not dict or type(e.get("edge_id")) is not str
                     or type(e.get("source")) is not str or type(e.get("target")) is not str
@@ -200,8 +274,10 @@ def save_report_json(report: ELiabilityReport, path: str) -> None:
 _ATTR_ESCAPES = str.maketrans({
     "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
     "\r": "&#13;", "\n": "&#10;", "\t": "&#09;",
+    # characters XML 1.0 does not allow at all become U+FFFD
+    **{chr(c): "\ufffd" for c in (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)},
 })
-_NEEDS_ESCAPE = re.compile('[&<>"\r\n\t]').search
+_NEEDS_ESCAPE = re.compile('[&<>"\r\n\t\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]').search
 
 
 def _attr(text: str) -> str:
@@ -211,87 +287,86 @@ def _attr(text: str) -> str:
     return text.translate(_ATTR_ESCAPES) if _NEEDS_ESCAPE(text) else text
 
 
-def _gexf_list(tag: str, items: list[str]) -> list[str]:
-    if not items:
-        return [f"    <{tag} />"]
-    return [f"    <{tag}>", *items, f"    </{tag}>"]
+_GEXF_EDGE_ATTRIBUTES = (
+    "    </attributes>",
+    '    <attributes class="edge">',
+    '      <attribute id="10" title="item" type="string" />',
+    '      <attribute id="11" title="mass_kg" type="double" />',
+    '      <attribute id="12" title="edge_liability_kg" type="double" />',
+    '      <attribute id="13" title="factor_per_kg_co2e" type="double" />',
+    '      <attribute id="14" title="factor_provenance" type="string" />',
+    "    </attributes>",
+)
 
 
-def _gexf_node(node, report) -> str:
-    retained = ""
-    if report is not None and node.canonical_id in report.nodes:
-        value = _fixed(report.nodes[node.canonical_id].retained_kg)
-        retained = f'\n          <attvalue for="1" value="{value}" />'
-    return (
-        f'      <node id="{_attr(node.canonical_id)}" label="{_attr(node.display_name)}">\n'
-        f"        <attvalues>\n"
-        f'          <attvalue for="0" value="{_fixed(node.direct_emissions_kg)}" />{retained}\n'
-        f"        </attvalues>\n"
-        f"      </node>"
-    )
-
-
-def _gexf_edge(edge, weight_attr: str) -> str:
-    return (
-        f'      <edge id="{_attr(edge.edge_id)}" source="{_attr(edge.source)}" '
-        f'target="{_attr(edge.target)}" weight="{_fixed(_edge_weight(edge, weight_attr))}">\n'
-        f"        <attvalues>\n"
-        f'          <attvalue for="10" value="{_attr(edge.item)}" />\n'
-        f'          <attvalue for="11" value="{_fixed(edge.mass_kg)}" />\n'
-        f'          <attvalue for="12" value="{_fixed(edge.edge_liability_kg)}" />\n'
-        f'          <attvalue for="13" value="{_fixed(edge.factor.per_kg_co2e)}" />\n'
-        f'          <attvalue for="14" value="{_attr(edge.factor.provenance)}" />\n'
-        f"        </attvalues>\n"
-        f"      </edge>"
-    )
-
-
-def _write_gexf(graph, report, opts, path):
-    lines = [
-        "<?xml version='1.0' encoding='UTF-8'?>",
-        f'<gexf xmlns="{GEXF_NS}" version="1.3">',
-        '  <graph defaultedgetype="directed">',
-        '    <attributes class="node">',
-        '      <attribute id="0" title="direct_emissions_kg" type="double" />',
-    ]
+def _gexf_lines(graph, report, opts):
+    yield "<?xml version='1.0' encoding='UTF-8'?>"
+    yield f'<gexf xmlns="{GEXF_NS}" version="1.3">'
+    yield '  <graph defaultedgetype="directed">'
+    yield '    <attributes class="node">'
+    yield '      <attribute id="0" title="direct_emissions_kg" type="double" />'
     if report is not None:
-        lines.append('      <attribute id="1" title="retained_kg" type="double" />')
-    lines += [
-        "    </attributes>",
-        '    <attributes class="edge">',
-        '      <attribute id="10" title="item" type="string" />',
-        '      <attribute id="11" title="mass_kg" type="double" />',
-        '      <attribute id="12" title="edge_liability_kg" type="double" />',
-        '      <attribute id="13" title="factor_per_kg_co2e" type="double" />',
-        '      <attribute id="14" title="factor_provenance" type="string" />',
-        "    </attributes>",
-    ]
+        yield '      <attribute id="1" title="retained_kg" type="double" />'
+    yield from _GEXF_EDGE_ATTRIBUTES
+    attr = functools.cache(_attr)
+    rows = {} if report is None else report.nodes
     nodes = _visible_nodes(graph, opts.include_isolates)
-    lines += _gexf_list("nodes", [_gexf_node(node, report) for node in nodes])
-    lines += _gexf_list("edges", [_gexf_edge(edge, opts.weight_attr) for edge in graph.edges])
-    lines += ["  </graph>", "</gexf>"]
-    # ElementTree's own file settings, so characters UTF-8 cannot encode
-    # (a lone surrogate) still become numeric character references.
-    replace_file(path, ["\n".join(lines)], errors="xmlcharrefreplace", newline="\n")
+    yield "    <nodes>" if nodes else "    <nodes />"
+    for node in nodes:
+        row = rows.get(node.canonical_id)
+        retained = "" if row is None else (
+            f'\n          <attvalue for="1" value="{row.retained_kg:.6f}" />')
+        yield (
+            f'      <node id="{attr(node.canonical_id)}" label="{_attr(node.display_name)}">\n'
+            f"        <attvalues>\n"
+            f'          <attvalue for="0" value="{node.direct_emissions_kg:.6f}" />{retained}\n'
+            f"        </attvalues>\n"
+            f"      </node>"
+        )
+    if nodes:
+        yield "    </nodes>"
+    by_liability = opts.weight_attr == "edge_liability"
+    yield "    <edges>" if graph.edges else "    <edges />"
+    for edge in graph.edges:
+        weight = edge.edge_liability_kg if by_liability else edge.mass_kg
+        yield (
+            f'      <edge id="{_attr(edge.edge_id)}" source="{attr(edge.source)}" '
+            f'target="{attr(edge.target)}" weight="{weight:.6f}">\n'
+            f"        <attvalues>\n"
+            f'          <attvalue for="10" value="{attr(edge.item)}" />\n'
+            f'          <attvalue for="11" value="{edge.mass_kg:.6f}" />\n'
+            f'          <attvalue for="12" value="{edge.edge_liability_kg:.6f}" />\n'
+            f'          <attvalue for="13" value="{edge.factor.per_kg_co2e:.6f}" />\n'
+            f'          <attvalue for="14" value="{attr(edge.factor.provenance)}" />\n'
+            f"        </attvalues>\n"
+            f"      </edge>"
+        )
+    if graph.edges:
+        yield "    </edges>"
+    yield "  </graph>"
+    yield "</gexf>"
 
 
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _write_dot(graph, report, opts, path):
-    lines = ["digraph supply_chain {"]
+def _dot_lines(graph, report, opts):
+    yield "digraph supply_chain {"
+    quoted = functools.cache(_dot_escape)
+    rows = {} if report is None else report.nodes
     for node in _visible_nodes(graph, opts.include_isolates):
         label = _dot_escape(node.display_name)
-        if report is not None and node.canonical_id in report.nodes:
+        row = rows.get(node.canonical_id)
+        if row is not None:
             # \n is the DOT line-break escape, added after quoting the name
-            label += f"\\nretained={_fixed(report.nodes[node.canonical_id].retained_kg)}"
-        lines.append(f'  "{_dot_escape(node.canonical_id)}" [label="{label}"];')
+            label += f"\\nretained={row.retained_kg:.6f}"
+        yield f'  "{quoted(node.canonical_id)}" [label="{label}"];'
+    by_liability = opts.weight_attr == "edge_liability"
     for edge in graph.edges:
-        weight = _fixed(_edge_weight(edge, opts.weight_attr))
-        lines.append(
-            f'  "{_dot_escape(edge.source)}" -> "{_dot_escape(edge.target)}" '
-            f'[weight="{weight}", label="{_dot_escape(edge.item)}"];'
+        weight = edge.edge_liability_kg if by_liability else edge.mass_kg
+        yield (
+            f'  "{quoted(edge.source)}" -> "{quoted(edge.target)}" '
+            f'[weight="{weight:.6f}", label="{quoted(edge.item)}"];'
         )
-    lines.append("}")
-    replace_file(path, ["\n".join(lines), "\n"])
+    yield "}"

@@ -40,13 +40,15 @@ standard.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import random
+import re
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .core import EmissionFactor, read_ndjson
+from .core import EmissionFactor, json_number, read_ndjson
 from .errors import CycleError, DuplicateIdError, NodeNotFoundError, SchemaError, UsageError
 from .resolution import normalize_name
 from .store import DatasetStore
@@ -143,6 +145,12 @@ class FactorSampler:
         return 0.0  # essentially unreachable for sane (mean, std)
 
 
+@functools.lru_cache(maxsize=4096)
+def _glob_matcher(pattern: str) -> Callable[[str], re.Match | None]:
+    """``fnmatchcase`` against ``pattern`` upper-cased, for an upper-cased item."""
+    return re.compile(fnmatch.translate(pattern.upper())).match
+
+
 @dataclass
 class FactorTable:
     """Ordered (item_pattern, factor) rules; first matching pattern wins.
@@ -155,12 +163,28 @@ class FactorTable:
     fallback: FactorSampler | EmissionFactor | None = None
 
     def factor_for(self, item: str) -> EmissionFactor | None:
-        for pattern, factor in self.rules:
-            if fnmatch.fnmatchcase(item.upper(), pattern.upper()):
-                return factor
-        if isinstance(self.fallback, FactorSampler):
-            return self.fallback.factor_for(item)
-        return self.fallback
+        return self.resolver()(item)
+
+    def resolver(self) -> Callable[[str], EmissionFactor | None]:
+        """``factor_for`` over the rules as they are now, for many lookups.
+
+        The item is upper-cased once and matched against each pattern's
+        compiled glob. Rules added to the table afterwards are not seen by
+        the returned function.
+        """
+        rules = [(_glob_matcher(pattern), factor) for pattern, factor in self.rules]
+        fallback = self.fallback
+
+        def factor_for(item: str) -> EmissionFactor | None:
+            upper = item.upper()
+            for match, factor in rules:
+                if match(upper):
+                    return factor
+            if isinstance(fallback, FactorSampler):
+                return fallback.factor_for(item)
+            return fallback
+
+        return factor_for
 
 
 def load_factor_table(path: str, fallback: FactorSampler | EmissionFactor | None = None) -> FactorTable:
@@ -182,7 +206,9 @@ FactorSource = EmissionFactor | FactorSampler | FactorTable
 def _factor_resolver(factors: FactorSource):
     if isinstance(factors, EmissionFactor):
         return lambda item: factors
-    if isinstance(factors, (FactorSampler, FactorTable)):
+    if isinstance(factors, FactorTable):
+        return factors.resolver()
+    if isinstance(factors, FactorSampler):
         return factors.factor_for
     raise UsageError(f"unsupported factor source: {type(factors).__name__}")
 
@@ -323,17 +349,17 @@ class ELiabilityReport:
         """
         rows = ",\n".join(
             f"    {_json_str(nid)}: {{\n"
-            f'      "direct_kg": {_json_num(row.direct_kg)},\n'
-            f'      "inherited_kg": {_json_num(row.inherited_kg)},\n'
-            f'      "retained_kg": {_json_num(row.retained_kg)},\n'
-            f'      "transferred_kg": {_json_num(row.transferred_kg)}\n'
+            f'      "direct_kg": {json_number(row.direct_kg)},\n'
+            f'      "inherited_kg": {json_number(row.inherited_kg)},\n'
+            f'      "retained_kg": {json_number(row.retained_kg)},\n'
+            f'      "transferred_kg": {json_number(row.transferred_kg)}\n'
             f"    }}"
             for nid, row in sorted(self.nodes.items())
         )
         nodes = f"{{\n{rows}\n  }}" if rows else "{}"
         return (
             f'{{\n  "mode": {_json_str(self.mode)},\n  "nodes": {nodes},\n'
-            f'  "residual": {_json_num(self.residual)}\n}}'
+            f'  "residual": {json_number(self.residual)}\n}}'
         )
 
     @classmethod
@@ -351,14 +377,6 @@ class ELiabilityReport:
                 for nid, row in d["nodes"].items()
             },
         )
-
-
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_num(value: float) -> str:
-    text = repr(value)
-    return _JSON_NONFINITE.get(text, text)
 
 
 def _adjacency(graph: SupplyGraph):

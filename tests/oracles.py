@@ -15,11 +15,13 @@ damped Jacobi iteration that re-pools every node on every sweep.
 
 The GEXF oracle is the original writer: it builds an ElementTree, indents
 it and lets ElementTree serialize it, so the string writer must match its
-escaping and layout byte for byte.
+escaping and layout byte for byte. The graph_json oracle likewise builds
+the document as dicts and lets ``json`` encode it.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -294,3 +296,35 @@ def oracle_write_gexf(graph, report, opts, path):
     tree = ET.ElementTree(root)
     ET.indent(tree)
     tree.write(path, encoding="UTF-8", xml_declaration=True)
+
+
+def oracle_graph_json(graph, report, opts) -> str:
+    """The original graph_json text: the document as dicts, encoded by ``json``."""
+    doc = {
+        "format": "supply-graph",
+        "version": 1,
+        "directed": True,
+        "nodes": [
+            {
+                "id": n.canonical_id,
+                "display_name": n.display_name,
+                "direct_emissions_kg": n.direct_emissions_kg,
+            }
+            for n in _visible_nodes(graph, opts.include_isolates)
+        ],
+        "edges": [
+            {
+                "edge_id": e.edge_id,
+                "source": e.source,
+                "target": e.target,
+                "item": e.item,
+                "mass_kg": e.mass_kg,
+                "factor": e.factor.to_dict(),
+                "edge_liability_kg": e.edge_liability_kg,
+            }
+            for e in graph.edges
+        ],
+    }
+    if report is not None:
+        doc["report"] = report.to_dict()
+    return json.JSONEncoder(ensure_ascii=False, indent=2).encode(doc) + "\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections.abc
 import gc
 import math
 import random
@@ -12,13 +13,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import replace_file_failing_partway
-from oracles import oracle_write_gexf, random_multigraph
+from oracles import oracle_graph_json, oracle_write_gexf, random_multigraph
 
 from elia import exporter
 
-from elia.core import FACTOR_PROVENANCES, EmissionFactor
+from elia.core import FACTOR_PROVENANCES, EmissionFactor, replace_file
 from elia.errors import StoreFormatError, UsageError
-from elia.exporter import ExportOptions, export, import_graph_json, load_report_json, save_report_json
+from elia.exporter import FORMATS, ExportOptions, export, import_graph_json, load_report_json, save_report_json
 from elia.graph import ELiabilityReport, NodeLiability, SupplyGraph, propagate
 
 
@@ -278,6 +279,108 @@ def test_gexf_writer_matches_elementtree_oracle(case):
         export(graph, report, opts, str(ours))
         oracle_write_gexf(graph, report, opts, str(oracle))
         assert ours.read_bytes() == oracle.read_bytes()
+
+
+def _exported_text(graph, report, opts) -> str:
+    """The text ``export`` hands to ``replace_file``, without writing a file."""
+    texts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exporter, "replace_file",
+                   lambda path, chunks, **options: texts.append("".join(chunks)))
+        export(graph, report, opts, "unused")
+    return texts[0]
+
+
+def _odd_numbers_graph():
+    g = SupplyGraph()
+    g.add_node("a", "A", math.inf)
+    g.add_node("b", "B", 5)  # an int stays an int, as json writes it
+    g.add_edge("a", "b", "x", math.nan, EmissionFactor(-0.0, "manual"))
+    g.add_edge("b", "a", "y", 1e-7, EmissionFactor(1e16, "table"))
+    return g, ELiabilityReport("one_hop", 0, {"b": NodeLiability(direct_kg=5, retained_kg=math.inf)})
+
+
+_REPORT_NUMBERS = st.floats() | st.integers(0, 10)
+
+
+@st.composite
+def graph_json_cases(draw):
+    """GEXF cases, with every report field drawn (NaN, infinities and ints too)."""
+    graph, report, opts = draw(gexf_cases())
+    if report is not None:
+        report = ELiabilityReport(draw(_AWKWARD), draw(_REPORT_NUMBERS), {
+            nid: NodeLiability(*draw(st.tuples(*[_REPORT_NUMBERS] * 4))) for nid in report.nodes
+        })
+    return graph, report, ExportOptions(format="graph_json", include_isolates=opts.include_isolates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_json_cases())
+@example((SupplyGraph(), None, ExportOptions()))
+@example((SupplyGraph(), ELiabilityReport("one_hop", 0.0, {}), ExportOptions(include_isolates=False)))
+@example((*_odd_numbers_graph(), ExportOptions()))
+def test_graph_json_writer_matches_json_encoder(case):
+    graph, report, opts = case
+    assert _exported_text(graph, report, opts) == oracle_graph_json(graph, report, opts)
+
+
+def _large_graph(n_nodes=2000, n_edges=20000):
+    rng = random.Random(9)
+    g = SupplyGraph()
+    for i in range(n_nodes):
+        g.add_node(f"company-{i:05d}", f"COMPANY {i:05d} INDUSTRIAL HOLDINGS", rng.uniform(0, 1e3))
+    ids = list(g.nodes)
+    factors = [EmissionFactor(rng.uniform(0.5, 5), "table") for _ in range(20)]
+    for i in range(n_edges):
+        source, target = sorted(rng.sample(range(n_nodes), 2))  # acyclic
+        g.add_edge(ids[source], ids[target], f"PRODUCT LINE {i % 300:03d} ON PALLETS",
+                   rng.uniform(1, 1e4), rng.choice(factors))
+    return g
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_exports_stream_in_bounded_chunks(tmp_path, monkeypatch, fmt):
+    graph = _large_graph()
+    seen, kinds = [], []
+
+    def recording_replace_file(path, chunks, **options):
+        kinds.append(isinstance(chunks, collections.abc.Iterator))
+
+        def record():
+            for chunk in chunks:
+                seen.append(chunk)
+                yield chunk
+
+        replace_file(path, record(), **options)
+
+    monkeypatch.setattr(exporter, "replace_file", recording_replace_file)
+    path = tmp_path / f"big.{fmt}"
+    export(graph, propagate(graph), ExportOptions(format=fmt), str(path))
+    written = path.read_bytes()
+    assert len(written) > 2 * 2**20
+    assert kinds == [True]
+    assert max(len(chunk.encode("utf-8")) for chunk in seen) <= 256 * 2**10
+    assert "".join(seen).encode("utf-8") == written
+
+
+def test_gexf_replaces_xml_illegal_characters(tmp_path):
+    g = SupplyGraph()
+    g.add_node("a\x1fb", "ACME\x0bCO")
+    g.add_node("c", "C\ufffe")
+    factor = EmissionFactor(1.0, "table")
+    object.__setattr__(factor, "provenance", "p\x00\uffff")
+    g.add_edge("a\x1fb", "c", "x\x00y", 2.0, factor, edge_id="e\x08")
+    path = tmp_path / "g.gexf"
+    export(g, None, ExportOptions(format="gexf"), str(path))
+    root = ET.parse(path).getroot()
+    nodes = root.findall(f".//{GEXF_NS}node")
+    assert [(n.get("id"), n.get("label")) for n in nodes] == [
+        ("a\ufffdb", "ACME\ufffdCO"), ("c", "C\ufffd")]
+    edge = root.find(f".//{GEXF_NS}edge")
+    assert (edge.get("id"), edge.get("source")) == ("e\ufffd", "a\ufffdb")
+    values = {v.get("for"): v.get("value") for v in edge.iter(f"{GEXF_NS}attvalue")}
+    assert values["10"] == "x\ufffdy"
+    assert values["14"] == "p\ufffd\ufffd"
 
 
 def test_export_options_validation():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import fnmatch
 import json
 import math
 import random
@@ -236,6 +237,36 @@ def test_factor_table_first_match_wins_and_fallback(tmp_path):
     )
     loaded = load_factor_table(str(path))
     assert loaded.factor_for("WINE ON PALLETS").per_kg_co2e == 1.4
+
+
+def _fnmatch_factor_for(table: FactorTable, item: str):
+    """The original lookup: fnmatchcase on upper-cased item and pattern, per rule."""
+    for pattern, factor in table.rules:
+        if fnmatch.fnmatchcase(item.upper(), pattern.upper()):
+            return factor
+    if isinstance(table.fallback, FactorSampler):
+        return table.fallback.factor_for(item)
+    return table.fallback
+
+
+# Glob metacharacters, bracket ranges and negations, regex metacharacters
+# that must stay literal, and letters whose case mapping is not one to one.
+_GLOB = st.text(st.sampled_from(list("*?[]!-^\\.+()|$ aAbZ9éßİ")), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_GLOB, max_size=5), st.lists(_GLOB, max_size=8),
+       st.sampled_from([None, FactorSampler(seed=3), EmissionFactor(0.25, "manual")]))
+@example(["WINE*", "*"], ["wine cases", "handbag"], None)
+@example(["[a-]", "[!b]*"], ["-", "b", "bx", ""], None)
+def test_factor_table_resolver_matches_fnmatch_loop(patterns, items, fallback):
+    table = FactorTable(rules=[(p, EmissionFactor(float(i), "table")) for i, p in enumerate(patterns)],
+                        fallback=fallback)
+    resolver = table.resolver()
+    for item in items:
+        expected = _fnmatch_factor_for(table, item)
+        assert resolver(item) == expected
+        assert table.factor_for(item) == expected
 
 
 def test_propagate_chain_hand_computed():
