@@ -79,10 +79,19 @@ def _parse_float(text: str) -> float:
     return float(text.replace(",", "").replace(" ", ""))
 
 
+# ASCII digits only: ``strptime`` also reads other Unicode digits.
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
+
 def _parse_date(text: str) -> date | None:
     text = text.strip()
     if not text:
         return None
+    if _ISO_DATE.fullmatch(text):
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            pass  # no such day; the loop below rejects it and names the text
     for fmt in ("%Y-%m-%d", "%m/%d/%Y", "%d.%m.%Y"):
         try:
             return datetime.strptime(text, fmt).date()

@@ -14,6 +14,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from datetime import date
+from json.encoder import encode_basestring_ascii
 
 ROLES = ("shipper", "consignee", "buyer", "supplier", "unknown")
 
@@ -21,8 +22,12 @@ FACTOR_PROVENANCES = ("sampled", "table", "manual")
 
 
 def content_hash(*parts: object, prefix: str = "", length: int = 16) -> str:
-    """Deterministic id from the given parts (stable across re-ingestion)."""
-    payload = json.dumps([str(p) for p in parts], separators=(",", ":"))
+    """Deterministic id from the given parts (stable across re-ingestion).
+
+    The hashed payload is ``json.dumps([str(p) for p in parts],
+    separators=(",", ":"))``, built here without a per-call encoder.
+    """
+    payload = "[" + ",".join([encode_basestring_ascii(str(p)) for p in parts]) + "]"
     return prefix + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:length]
 
 

@@ -20,7 +20,7 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .core import CompanyRef, Sentence, TransactionTriple, read_ndjson
@@ -301,12 +301,6 @@ class RetryPolicy:
         if isinstance(exc, RateLimitError) and exc.retry_after is not None:
             return max(backoff, exc.retry_after)
         return backoff
-
-
-@dataclass
-class ExtractionOutcome:
-    triples: list[TransactionTriple]
-    errors: list[tuple[str, Exception]] = field(default_factory=list)
 
 
 def _extract_one(

@@ -4,11 +4,25 @@ Names are normalized (case, punctuation, corporate suffixes), then merged
 with a union-find closure over token-set Jaccard similarity. Everything is
 deterministic and order-independent so re-resolving a dataset always yields
 the same canonical ids.
+
+The similar pairs come from an exact all-pairs similarity join (Chaudhuri
+et al. 2006; Bayardo, Ma & Srikant 2007) instead of comparing every pair of
+forms. Each form's tokens are ordered rarest first (ascending count over
+the distinct forms, then the token itself). Two forms x and y with Jaccard
+>= t share at least ``ceil(t * max(|x|, |y|))`` tokens, so they share a
+token among the first ``|x| - ceil(t * |x|) + 1`` of x and the first
+``|y| - ceil(t * |y|) + 1`` of y: only these prefixes are indexed and
+probed (prefix filter). A candidate whose size ratio is below t cannot
+reach t and is skipped (length filter). Every remaining candidate is
+verified with ``token_jaccard``, so the merges are exactly the pairwise
+ones. Aliases are then gathered in one pass over the raw names, grouped by
+normalized form.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -67,6 +81,8 @@ def token_jaccard(a: str, b: str) -> float:
 
 
 class _UnionFind:
+    """Union-find whose root is always the smallest item of its set."""
+
     def __init__(self, items):
         self.parent = {item: item for item in items}
 
@@ -114,28 +130,28 @@ def resolve(
 
     raw_counts = Counter(names)
     norm_of: dict[str, str] = {raw: normalize_name(raw) for raw in raw_counts}
-    forms = sorted(set(norm_of.values()))
+    raws_of: dict[str, list[str]] = {}
+    for raw in raw_counts:
+        raws_of.setdefault(norm_of[raw], []).append(raw)
+    forms = sorted(raws_of)
 
     uf = _UnionFind(forms)
-    for i, fa in enumerate(forms):
-        for fb in forms[i + 1 :]:
-            if token_jaccard(fa, fb) >= threshold:
-                uf.union(fa, fb)
+    _merge_similar(forms, threshold, uf)
 
+    # Forms are visited in sorted order, so each cluster is keyed by its
+    # root, its smallest form, and clusters come in order of that form.
     clusters: dict[str, list[str]] = {}
     for form in forms:
-        clusters.setdefault(uf.find(form), []).append(form)
+        clusters.setdefault(uf.find(form), []).extend(raws_of[form])
 
     alias_map: dict[str, str] = {}
     entities: dict[str, CanonicalEntity] = {}
-    for root, member_forms in clusters.items():
-        cid = canonical_id_for(min(member_forms))
-        aliases = {raw for raw in raw_counts if norm_of[raw] in set(member_forms)}
-        display = min(aliases, key=lambda raw: (-raw_counts[raw], normalize_name(raw), raw))
-        entity = CanonicalEntity(canonical_id=cid, display_name=display, aliases=aliases)
-        for raw in sorted(aliases):
+    for root, raws in clusters.items():
+        cid = canonical_id_for(root)
+        display = min(raws, key=lambda raw: (-raw_counts[raw], norm_of[raw], raw))
+        for raw in sorted(raws):
             alias_map[raw] = cid
-        entities[cid] = entity
+        entities[cid] = CanonicalEntity(canonical_id=cid, display_name=display, aliases=set(raws))
 
     if sources is None:
         for raw, count in raw_counts.items():
@@ -147,6 +163,39 @@ def resolve(
             ent.source_count[source] = ent.source_count.get(source, 0) + 1
 
     return ResolutionResult(alias_map=alias_map, entities=entities)
+
+
+def _merge_similar(forms: list[str], threshold: float, uf: _UnionFind) -> None:
+    """Union every two forms whose token Jaccard reaches ``threshold``.
+
+    A prefix-filtered similarity join (see the module docstring). Forms are
+    probed in order of token count, so every indexed candidate is no larger
+    than the probe. The prefix bound subtracts 1e-9 before ``ceil`` so that
+    float rounding (0.28 * 25 is 7.000000000000001, yet 7 / 25 reaches
+    0.28) can only lengthen a prefix. Above 0 the empty form has no tokens
+    and pairs with nothing; at 0 every two forms merge, as any two reach
+    Jaccard >= 0.
+    """
+    if threshold == 0.0:
+        for form in forms[1:]:
+            uf.union(forms[0], form)
+        return
+    token_sets = [set(form.split()) for form in forms]
+    counts = Counter(tok for toks in token_sets for tok in toks)
+    ordered = [sorted(toks, key=lambda tok: (counts[tok], tok)) for toks in token_sets]
+    index: dict[str, list[int]] = {}
+    for i in sorted(range(len(forms)), key=lambda i: len(ordered[i])):
+        toks = ordered[i]
+        size = len(toks)
+        prefix = toks[: size - math.ceil(threshold * size - 1e-9) + 1]
+        candidates = {j for tok in prefix for j in index.get(tok, ())}
+        for j in candidates:
+            if len(ordered[j]) / size < threshold:
+                continue
+            if token_jaccard(forms[i], forms[j]) >= threshold:
+                uf.union(forms[i], forms[j])
+        for tok in prefix:
+            index.setdefault(tok, []).append(i)
 
 
 def apply_overrides(result: ResolutionResult, overrides: dict[str, str]) -> ResolutionResult:

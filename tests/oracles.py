@@ -13,6 +13,11 @@ The full-propagation oracle is the original whole-graph implementation:
 Kahn's sort with sorted tie-breaking for an acyclic graph, otherwise a
 damped Jacobi iteration that re-pools every node on every sweep.
 
+The resolution oracle is the original ``resolve``: it compares every pair
+of normalized forms and scans every raw name for each cluster, which is
+quadratic but plainly right. The date oracle is the original ``strptime``
+loop of the BOL parser.
+
 The GEXF oracle is the original writer: it builds an ElementTree, indents
 it and lets ElementTree serialize it, so the string writer must match its
 escaping and layout byte for byte. The graph_json oracle likewise builds
@@ -25,11 +30,20 @@ import json
 import random
 import re
 import xml.etree.ElementTree as ET
-from collections import defaultdict
+from collections import Counter, defaultdict
+from datetime import date, datetime
 
 from elia.core import EmissionFactor, Mention, Sentence
 from elia.exporter import GEXF_NS, _edge_weight, _fixed, _visible_nodes
 from elia.graph import ELiabilityReport, NodeLiability, SupplyGraph
+from elia.resolution import (
+    CanonicalEntity,
+    ResolutionResult,
+    _UnionFind,
+    canonical_id_for,
+    normalize_name,
+    token_jaccard,
+)
 from elia.transcripts import Gazetteer, _suffix_run_spans
 
 
@@ -56,6 +70,66 @@ def oracle_mentions(sentence: Sentence, gaz: Gazetteer) -> Sentence:
         mentions=mentions,
         id=sentence.id,
     )
+
+
+def oracle_resolve(names: list[str], threshold: float = 0.8,
+                   sources: list[str] | None = None) -> ResolutionResult:
+    """Brute-force resolution: union every pair of forms at or above ``threshold``."""
+    if not names:
+        return ResolutionResult(alias_map={}, entities={})
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must be in [0, 1]")
+    if sources is not None and len(sources) != len(names):
+        raise ValueError("sources, when given, must align with names")
+
+    raw_counts = Counter(names)
+    norm_of: dict[str, str] = {raw: normalize_name(raw) for raw in raw_counts}
+    forms = sorted(set(norm_of.values()))
+
+    uf = _UnionFind(forms)
+    for i, fa in enumerate(forms):
+        for fb in forms[i + 1 :]:
+            if token_jaccard(fa, fb) >= threshold:
+                uf.union(fa, fb)
+
+    clusters: dict[str, list[str]] = {}
+    for form in forms:
+        clusters.setdefault(uf.find(form), []).append(form)
+
+    alias_map: dict[str, str] = {}
+    entities: dict[str, CanonicalEntity] = {}
+    for root, member_forms in clusters.items():
+        cid = canonical_id_for(min(member_forms))
+        aliases = {raw for raw in raw_counts if norm_of[raw] in set(member_forms)}
+        display = min(aliases, key=lambda raw: (-raw_counts[raw], normalize_name(raw), raw))
+        entity = CanonicalEntity(canonical_id=cid, display_name=display, aliases=aliases)
+        for raw in sorted(aliases):
+            alias_map[raw] = cid
+        entities[cid] = entity
+
+    if sources is None:
+        for raw, count in raw_counts.items():
+            ent = entities[alias_map[raw]]
+            ent.source_count["all"] = ent.source_count.get("all", 0) + count
+    else:
+        for raw, source in zip(names, sources):
+            ent = entities[alias_map[raw]]
+            ent.source_count[source] = ent.source_count.get(source, 0) + 1
+
+    return ResolutionResult(alias_map=alias_map, entities=entities)
+
+
+def oracle_parse_date(text: str) -> date | None:
+    """The BOL parser's date reader: three ``strptime`` formats in turn."""
+    text = text.strip()
+    if not text:
+        return None
+    for fmt in ("%Y-%m-%d", "%m/%d/%Y", "%d.%m.%Y"):
+        try:
+            return datetime.strptime(text, fmt).date()
+        except ValueError:
+            continue
+    raise ValueError(f"unrecognized date: {text!r}")
 
 
 def oracle_retained(graph: SupplyGraph) -> dict[str, float]:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import fixture_path
+from oracles import oracle_parse_date
 
-from elia.bol import normalize_product_desc, parse_bol_file
+from elia.bol import _parse_date, normalize_product_desc, parse_bol_file
 from elia.errors import SchemaError
 
 
@@ -169,3 +170,29 @@ def test_normalize_is_idempotent(text):
 def test_normalize_nonempty_for_nonempty(text):
     if text.strip():
         assert normalize_product_desc(text) != ""
+
+
+def _date_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize("text", [
+    "2021-03-04", " 2021-03-04 ", "2021-02-29", "2020-02-29", "0000-01-01", "0001-01-01",
+    "9999-12-31", "2021-13-01", "2021-00-10", "2021-1-05", "2021-01-5", "20210105",
+    "2021-W01-1", "2021-01-05T00:00", "٢٠٢١-٠١-٠٥", "２０２１-０１-０５", "03/04/2021",
+    "3/4/2021", "13/04/2021", "04.03.2021", "4.3.2021", "31.02.2021", "", "   ", "n/a",
+])
+def test_parse_date_matches_strptime_loop(text):
+    assert _date_outcome(_parse_date, text) == _date_outcome(oracle_parse_date, text)
+
+
+@given(st.one_of(
+    st.text(alphabet="0123456789-/.٠١٢ W", max_size=12),
+    st.builds("{:04d}-{:02d}-{:02d}".format,
+              st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32)),
+))
+def test_parse_date_matches_strptime_loop_on_generated_text(text):
+    assert _date_outcome(_parse_date, text) == _date_outcome(oracle_parse_date, text)

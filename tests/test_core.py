@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import os
 import stat
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
-from elia.core import no_gc, replace_file
+from elia.core import content_hash, no_gc, replace_file
 
 
 @pytest.fixture
@@ -110,3 +113,30 @@ def test_replace_file_writes_a_pipe_in_place(tmp_path):
     assert got == [b"ab"]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def _json_dumps_hash(*parts, prefix="", length=16):
+    payload = json.dumps([str(p) for p in parts], separators=(",", ":"))
+    return prefix + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:length]
+
+
+_PART = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\\x00\x1f\x7f\n\t/\u00e9\u2028\ud800\U0001f600'),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+)
+
+
+@given(st.lists(_PART, max_size=8), st.sampled_from(["", "r", "s"]), st.integers(1, 64))
+def test_content_hash_matches_json_dumps_payload(parts, prefix, length):
+    assert content_hash(*parts, prefix=prefix, length=length) == _json_dumps_hash(
+        *parts, prefix=prefix, length=length
+    )
+
+
+def test_content_hash_of_record_shaped_parts():
+    parts = ("Bodega \"Ñandú\" S.A.", "C:\\ports\\", "", "2021-03-04", "WINE\x01", 12, "3.5", None)
+    assert content_hash(*parts, prefix="r") == _json_dumps_hash(*parts, prefix="r")
+    assert content_hash() == _json_dumps_hash()

@@ -8,8 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import oracle_resolve
 
 import elia
+import elia.resolution as resolution_module
 from elia.resolution import (
     apply_overrides,
     normalize_name,
@@ -231,3 +234,72 @@ def test_alias_map_order_independent_of_hash_seed():
                               capture_output=True, text=True, check=True, timeout=60)
         orders.append(json.loads(done.stdout))
     assert orders[0] == orders[1]
+
+
+def _entity_rows(result):
+    return [
+        (cid, e.canonical_id, e.display_name, sorted(e.aliases), e.source_count)
+        for cid, e in result.entities.items()
+    ]
+
+
+# Few words, so names share most of their tokens; SHARED sits in many names,
+# "!!!" normalizes to "" and a bare suffix such as "LLC" is kept as its form.
+_WORDS = ["SHARED", "IRON", "TIN", "ZINC", "GOLD", "TRADING", "GROUP", "A", "B", "LLC", "CO"]
+_name = st.one_of(
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5).map(" ".join),
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(
+        lambda words: "shared, " + "-".join(words).lower() + " Ltd."
+    ),
+    st.sampled_from(["!!!", "LLC", "CO LTD", "Co., Ltd.", "?", "A"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.lists(_name, min_size=1, max_size=25),
+    threshold=st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 0.8, 1.0]),
+    with_sources=st.booleans(),
+    data=st.data(),
+)
+def test_resolve_matches_brute_force_oracle(names, threshold, with_sources, data):
+    sources = None
+    if with_sources:
+        sources = data.draw(st.lists(st.sampled_from(["bol", "transcript"]),
+                                     min_size=len(names), max_size=len(names)))
+    got = resolve(names, threshold=threshold, sources=sources)
+    want = oracle_resolve(names, threshold=threshold, sources=sources)
+    assert list(got.alias_map.items()) == list(want.alias_map.items())
+    assert _entity_rows(got) == _entity_rows(want)
+
+
+def test_prefix_bound_survives_float_rounding():
+    # 0.28 * 25 rounds up to 7.000000000000001, but 7 / 25 reaches 0.28. The
+    # 18 rare tokens fill the long name's first 18 places, so an unadjusted
+    # prefix of 25 - 8 + 1 = 18 would miss the 7 tokens it shares.
+    rare = [f"R{i:02d}" for i in range(18)]
+    shared = [f"S{i}" for i in range(7)]
+    names = [" ".join(rare + shared), " ".join(shared)]
+    assert token_jaccard(normalize_name(names[0]), normalize_name(names[1])) >= 0.28
+    result = resolve(names, threshold=0.28)
+    assert len(result.entities) == 1
+    assert list(result.alias_map.items()) == list(oracle_resolve(names, 0.28).alias_map.items())
+
+
+def test_verified_pairs_grow_linearly_with_disjoint_vocabularies(monkeypatch):
+    calls = []
+
+    def counting_jaccard(a, b):
+        calls.append((a, b))
+        return token_jaccard(a, b)
+
+    monkeypatch.setattr(resolution_module, "token_jaccard", counting_jaccard)
+    firms = 700
+    names = []
+    for i in range(firms):
+        names += [f"FIRM{i} ALPHA{i} WORKS{i}", f"Firm{i} Alpha{i} Works{i} Ltd", f"FIRM{i} ALPHA{i}"]
+    result = resolve(names, threshold=0.6)
+    assert len(result.entities) == firms
+    # Each firm has two forms, so one candidate pair per firm; the all-pairs
+    # scan verified 1400 * 1399 / 2 = 979,300.
+    assert len(calls) == firms
