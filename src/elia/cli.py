@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bol import normalize_product_desc, parse_bol_file
 from .config import Config, load_config
-from .core import EmissionFactor, replace_file
+from .core import EmissionFactor, no_gc, replace_file
 from .errors import (
     BackendError,
     ConfigError,
@@ -147,6 +147,7 @@ def _ingest_demo_inputs(store) -> None:
     _ingest_transcripts(store, transcripts, str(fx / "gazetteer.txt"))
 
 
+@no_gc()
 def cmd_ingest_bol(args, cfg: Config) -> int:
     store = _load_or_new_store(args.store)
     delimiter = "\t" if args.tab else args.delimiter
@@ -156,6 +157,7 @@ def cmd_ingest_bol(args, cfg: Config) -> int:
     return 0
 
 
+@no_gc()
 def cmd_ingest_transcripts(args, cfg: Config) -> int:
     store = _load_or_new_store(args.store)
     counts = _ingest_transcripts(store, args.paths, args.gazetteer)
@@ -206,6 +208,7 @@ def _extract(store, cfg: Config, backend: str, fixture: str | None = None,
             "triples": len(triples), "errors": len(errors)}
 
 
+# Not no_gc(): live requests make garbage no offline run can bound; a recorded run spends ~3 ms in gc.
 def cmd_extract(args, cfg: Config) -> int:
     store = _load_existing_store(args.store)
     counts = _extract(store, cfg, args.backend, args.fixture, args.examples)
@@ -225,6 +228,7 @@ def _resolve(store, cfg: Config, threshold: float | None = None,
     return {"names": len(result.alias_map), "entities": len(result.entities)}
 
 
+@no_gc()
 def cmd_resolve(args, cfg: Config) -> int:
     store = _load_existing_store(args.store)
     counts = _resolve(store, cfg, args.threshold, args.overrides)
@@ -249,6 +253,7 @@ def _build(store, factors):
     return graph, report
 
 
+@no_gc()
 def cmd_build(args, cfg: Config) -> int:
     store = _load_existing_store(args.store)
     graph, report = _build(store, _factor_source(args, cfg))
@@ -262,6 +267,7 @@ def cmd_build(args, cfg: Config) -> int:
     return 0
 
 
+@no_gc()
 def cmd_propagate(args, cfg: Config) -> int:
     graph_path = args.graph or os.path.join(args.store, GRAPH_FILE)
     graph = import_graph_json(graph_path)
@@ -288,6 +294,7 @@ def _resolve_node_arg(graph, value: str) -> str:
     raise UsageError(f"display name {value!r} is ambiguous: {sorted(matches)}")
 
 
+@no_gc()
 def cmd_query(args, cfg: Config) -> int:
     graph = import_graph_json(args.graph or os.path.join(args.store, GRAPH_FILE))
     report = None
@@ -310,6 +317,7 @@ def cmd_query(args, cfg: Config) -> int:
     return 0
 
 
+@no_gc()
 def cmd_eval(args, cfg: Config) -> int:
     gold = load_triples_flat(args.gold)
     predictions = load_triples_flat(args.pred)
@@ -321,6 +329,7 @@ def cmd_eval(args, cfg: Config) -> int:
     return 0
 
 
+@no_gc()
 def cmd_export(args, cfg: Config) -> int:
     graph = import_graph_json(args.graph or os.path.join(args.store, GRAPH_FILE))
     report = None
@@ -336,6 +345,7 @@ def cmd_export(args, cfg: Config) -> int:
     return 0
 
 
+@no_gc()
 def cmd_demo(args, cfg: Config) -> int:
     """Full offline pipeline over the bundled fixtures."""
     out_dir = Path(args.out)

@@ -49,8 +49,14 @@ def no_gc():
     that walk everything decoded so far. The collector's state on entry is
     restored on exit, also on an exception, so nested blocks and callers
     that already disabled it keep their setting. Use it as ``with no_gc():``
-    or decorate a loader with ``@no_gc()``; scope it to one load, not to a
-    whole command.
+    or as a decorator, ``@no_gc()``.
+
+    The loaders carry it for library callers. The CLI also runs every
+    offline command under it: a command builds its objects once and exits,
+    so collections during the command would only walk a freshly built graph
+    or store to free a few argparse objects. ``extract`` is the exception:
+    its live backend makes any number of HTTP requests whose garbage no
+    offline run can bound, so it keeps the collector on.
     """
     enabled = gc.isenabled()
     gc.disable()

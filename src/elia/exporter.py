@@ -55,16 +55,6 @@ class ExportOptions:
             raise UsageError(f"unknown weight attribute: {self.weight_attr!r}")
 
 
-# The test oracles format and pick weights with these two; the writers
-# below inline the same ``:.6f`` format and choice.
-def _fixed(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _edge_weight(edge, weight_attr: str) -> float:
-    return edge.edge_liability_kg if weight_attr == "edge_liability" else edge.mass_kg
-
-
 def _visible_nodes(graph: SupplyGraph, include_isolates: bool):
     if include_isolates:
         return list(graph.nodes.values())
@@ -328,14 +318,16 @@ def _gexf_lines(graph, report, opts):
     by_liability = opts.weight_attr == "edge_liability"
     yield "    <edges>" if graph.edges else "    <edges />"
     for edge in graph.edges:
-        weight = edge.edge_liability_kg if by_liability else edge.mass_kg
+        # the weight attribute repeats one of the two, formatted once
+        mass = f"{edge.mass_kg:.6f}"
+        liability = f"{edge.edge_liability_kg:.6f}"
         yield (
             f'      <edge id="{_attr(edge.edge_id)}" source="{attr(edge.source)}" '
-            f'target="{attr(edge.target)}" weight="{weight:.6f}">\n'
+            f'target="{attr(edge.target)}" weight="{liability if by_liability else mass}">\n'
             f"        <attvalues>\n"
             f'          <attvalue for="10" value="{attr(edge.item)}" />\n'
-            f'          <attvalue for="11" value="{edge.mass_kg:.6f}" />\n'
-            f'          <attvalue for="12" value="{edge.edge_liability_kg:.6f}" />\n'
+            f'          <attvalue for="11" value="{mass}" />\n'
+            f'          <attvalue for="12" value="{liability}" />\n'
             f'          <attvalue for="13" value="{edge.factor.per_kg_co2e:.6f}" />\n'
             f'          <attvalue for="14" value="{attr(edge.factor.provenance)}" />\n'
             f"        </attvalues>\n"

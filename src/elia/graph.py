@@ -28,6 +28,13 @@ Propagation modes:
   the report's row pass sums only the nodes of cyclic components (and
   every node under ``one_hop``).
 
+Propagation works on integer positions: nodes are numbered in
+``graph.nodes`` order and edges by their index in ``graph.edges``, each
+node keeps the positions of its incoming and outgoing edges, and the
+share of a pool passed along each edge lives in an ``array('d')`` indexed
+by edge position. Every sum runs in edge order, so the numbers do not
+depend on this layout.
+
 ``ELiabilityReport.to_json`` writes ``report.json`` from string templates,
 byte for byte what ``json.dumps(to_dict(), sort_keys=True, indent=2)``
 gives, including the integer ``0`` that ``sum()`` yields over no edges.
@@ -43,6 +50,7 @@ import fnmatch
 import functools
 import random
 import re
+from array import array
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
@@ -110,8 +118,8 @@ class SupplyGraph:
             raise NodeNotFoundError(f"unknown edge target: {target}")
         if edge_id is None:
             edge_id = f"e{len(self.edges) + 1:06d}"
-        # propagate keys edge shares by edge_id, so a repeat would overwrite
-        # one edge's allocation with another's.
+        # Edge ids name edges in graph_json, which must read back to the same
+        # graph, and in GEXF, whose ids must be unique.
         if edge_id in self._edge_ids:
             raise DuplicateIdError(f"duplicate edge_id {edge_id!r}")
         edge = Edge(edge_id, source, target, item, mass_kg, factor)
@@ -379,92 +387,107 @@ class ELiabilityReport:
         )
 
 
-def _adjacency(graph: SupplyGraph):
-    incoming: dict[str, list[Edge]] = {nid: [] for nid in graph.nodes}
-    outgoing: dict[str, list[Edge]] = {nid: [] for nid in graph.nodes}
-    for edge in graph.edges:
-        incoming[edge.target].append(edge)
-        outgoing[edge.source].append(edge)
-    return incoming, outgoing
+def _positions(graph: SupplyGraph):
+    """Node positions, and per node position its incoming and outgoing edge positions.
+
+    Nodes are numbered in ``graph.nodes`` order and edges by their index in
+    ``graph.edges``; each per-node list keeps edge order. ``head`` is the
+    position of each edge's target.
+    """
+    pos = {nid: v for v, nid in enumerate(graph.nodes)}
+    incoming: list[list[int]] = [[] for _ in pos]
+    outgoing: list[list[int]] = [[] for _ in pos]
+    head: list[int] = []
+    for i, edge in enumerate(graph.edges):
+        target = pos[edge.target]
+        head.append(target)
+        incoming[target].append(i)
+        outgoing[pos[edge.source]].append(i)
+    return pos, incoming, outgoing, head
 
 
-def _components(graph: SupplyGraph, outgoing) -> list[list[str]]:
-    """Strongly connected components, upstream first (iterative Tarjan).
+def _components(outgoing: list[list[int]], head: list[int]) -> list[list[int]]:
+    """Strongly connected components of node positions, upstream first (iterative Tarjan).
 
     Tarjan's algorithm closes a component only after every component it
     reaches, so the reversed emission order is a topological order of the
     condensation. An explicit stack keeps long chains and rings from
     hitting the interpreter's recursion limit.
     """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    for root in graph.nodes:
-        if root in index:
+    n = len(outgoing)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    components: list[list[int]] = []
+    visited = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = visited
+        visited += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = 1
         work = [(root, iter(outgoing[root]))]
         while work:
-            nid, edges = work[-1]
-            for edge in edges:
-                nxt = edge.target
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(outgoing[nxt])))
+            v, edges = work[-1]
+            for i in edges:
+                w = head[i]
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, iter(outgoing[w])))
                     break
-                if nxt in on_stack and index[nxt] < low[nid]:
-                    low[nid] = index[nxt]
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
-                    if low[nid] < low[parent]:
-                        low[parent] = low[nid]
-                if low[nid] == index[nid]:
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
                     component = []
                     while True:
                         member = stack.pop()
-                        on_stack.discard(member)
+                        on_stack[member] = 0
                         component.append(member)
-                        if member == nid:
+                        if member == v:
                             break
                     components.append(component)
     components.reverse()
     return components
 
 
-def _is_cyclic(component: list[str], outgoing) -> bool:
+def _is_cyclic(component: list[int], outgoing: list[list[int]], head: list[int]) -> bool:
     if len(component) > 1:
         return True
-    nid = component[0]
-    return any(edge.target == nid for edge in outgoing[nid])
+    v = component[0]
+    return any(head[i] == v for i in outgoing[v])
 
 
-def _cycle_in(component: list[str], outgoing) -> list[str]:
-    """A shortest closed path through the component's smallest node id."""
+def _cycle_in(component: list[int], ids: list[str], outgoing: list[list[int]],
+              head: list[int]) -> list[str]:
+    """A shortest closed path (node ids) through the component's smallest node id."""
     members = set(component)
-    start = min(component)
-    parent: dict[str, str] = {}
+    start = min(component, key=ids.__getitem__)
+    parent: dict[int, int] = {}
     queue = deque([start])
     while queue:
-        nid = queue.popleft()
-        for edge in outgoing[nid]:
-            nxt = edge.target
-            if nxt == start:
-                path = [nid]
+        v = queue.popleft()
+        for i in outgoing[v]:
+            w = head[i]
+            if w == start:
+                path = [v]
                 while path[-1] != start:
                     path.append(parent[path[-1]])
-                return path[::-1] + [start]
-            if nxt in members and nxt not in parent:
-                parent[nxt] = nid
-                queue.append(nxt)
-    raise AssertionError(f"component through {start} has no cycle")
+                return [ids[u] for u in reversed(path)] + [ids[start]]
+            if w in members and w not in parent:
+                parent[w] = v
+                queue.append(w)
+    raise AssertionError(f"component through {ids[start]} has no cycle")
 
 
 def propagate(
@@ -494,42 +517,45 @@ def propagate(
     if on_cycle not in ON_CYCLE:
         raise UsageError(f"on_cycle must be one of {ON_CYCLE}, got {on_cycle!r}")
 
-    incoming, outgoing = _adjacency(graph)
+    pos, incoming, outgoing, head = _positions(graph)
+    ids = list(graph.nodes)
     full = mode == "full_propagation"
-    components = _components(graph, outgoing) if full else []
-    cyclic = [_is_cyclic(component, outgoing) for component in components]
+    components = _components(outgoing, head) if full else []
+    cyclic = [_is_cyclic(component, outgoing, head) for component in components]
     if on_cycle == "error" and any(cyclic):
-        cycle = _cycle_in(components[cyclic.index(True)], outgoing)
+        cycle = _cycle_in(components[cyclic.index(True)], ids, outgoing, head)
         raise CycleError(f"graph contains a cycle: {' -> '.join(cycle)}", cycle=cycle)
 
-    share: dict[str, float] = {e.edge_id: 0.0 for e in graph.edges}
+    nodes = list(graph.nodes.values())
+    edges = graph.edges
+    share = array("d", bytes(8 * len(edges)))
     # (inherited, transferred) of each node pooled once, kept from that pass.
-    sums: dict[str, tuple[float, float]] = {}
+    sums: list[tuple[float, float] | None] = [None] * len(nodes)
     residual = 0.0
     for component, is_cyclic in zip(components, cyclic):
         if is_cyclic:
-            change = _iterate_component(graph, component, incoming, outgoing, share, tolerance)
+            change = _iterate_component(nodes, edges, component, pos, incoming, outgoing,
+                                        share, tolerance)
             if not change < tolerance:
                 raise CycleError(
                     f"propagation did not converge: residual {change:.3e} is not below "
                     f"tolerance {tolerance:.0e}",
-                    cycle=_cycle_in(component, outgoing),
+                    cycle=_cycle_in(component, ids, outgoing, head),
                 )
             residual = max(residual, change)
         else:
-            (nid,) = component
-            inherited = sum(e.edge_liability_kg + share[e.edge_id] for e in incoming[nid])
-            allocation = _allocate(graph.nodes[nid].direct_emissions_kg + inherited, outgoing[nid])
-            share.update(allocation)
-            sums[nid] = inherited, sum(allocation.values())
+            (v,) = component
+            inherited = sum(edges[i].edge_liability_kg + share[i] for i in incoming[v])
+            _allocate(nodes[v].direct_emissions_kg + inherited, outgoing[v], edges, share)
+            sums[v] = inherited, sum(share[i] for i in outgoing[v])
 
     rows = {}
-    for nid, node in graph.nodes.items():
-        if nid in sums:
-            inherited, transferred = sums[nid]
+    for v, (nid, node) in enumerate(zip(ids, nodes)):
+        if sums[v] is not None:
+            inherited, transferred = sums[v]
         else:
-            inherited = sum(e.edge_liability_kg + share[e.edge_id] for e in incoming[nid])
-            transferred = sum(share[e.edge_id] for e in outgoing[nid]) if full else 0.0
+            inherited = sum(edges[i].edge_liability_kg + share[i] for i in incoming[v])
+            transferred = sum(share[i] for i in outgoing[v]) if full else 0.0
         rows[nid] = NodeLiability(
             direct_kg=node.direct_emissions_kg,
             inherited_kg=inherited,
@@ -539,14 +565,19 @@ def propagate(
     return ELiabilityReport(mode=mode, residual=residual, nodes=rows)
 
 
-def _allocate(pool: float, edges: list[Edge]) -> dict[str, float]:
-    out_mass = sum(e.mass_kg for e in edges)
+def _allocate(pool: float, out: list[int], edges: list[Edge], share: array) -> None:
+    """Split ``pool`` over the edge positions ``out`` in proportion to mass.
+
+    Without outgoing mass the shares stay 0.0, as every share starts.
+    """
+    out_mass = sum(edges[i].mass_kg for i in out)
     if out_mass <= 0.0:
-        return {e.edge_id: 0.0 for e in edges}
-    return {e.edge_id: pool * (e.mass_kg / out_mass) for e in edges}
+        return
+    for i in out:
+        share[i] = pool * (edges[i].mass_kg / out_mass)
 
 
-def _iterate_component(graph, component, incoming, outgoing, share, tolerance) -> float:
+def _iterate_component(nodes, edges, component, pos, incoming, outgoing, share, tolerance) -> float:
     """Jacobi iteration of the pool equations inside one cyclic component.
 
     Inflow from upstream components is final by now, so it is frozen into a
@@ -556,21 +587,23 @@ def _iterate_component(graph, component, incoming, outgoing, share, tolerance) -
     pools are allocated onto every outgoing edge of the component, and the
     final change is returned as the component's residual.
     """
-    local = {nid: i for i, nid in enumerate(component)}
-    out_mass = {nid: sum(e.mass_kg for e in outgoing[nid]) for nid in component}
+    local = {v: k for k, v in enumerate(component)}
+    out_mass = {v: sum(edges[i].mass_kg for i in outgoing[v]) for v in component}
     base: list[float] = []
     inner: list[list[tuple[int, float]]] = []
-    for nid in component:
-        pool = graph.nodes[nid].direct_emissions_kg
+    for v in component:
+        pool = nodes[v].direct_emissions_kg
         terms = []
-        for e in incoming[nid]:
-            j = local.get(e.source)
+        for i in incoming[v]:
+            e = edges[i]
+            source = pos[e.source]
+            j = local.get(source)
             if j is None:
-                pool += e.edge_liability_kg + share[e.edge_id]
+                pool += e.edge_liability_kg + share[i]
                 continue
             pool += e.edge_liability_kg
-            if out_mass[e.source] > 0.0:
-                terms.append((j, e.mass_kg / out_mass[e.source]))
+            if out_mass[source] > 0.0:
+                terms.append((j, e.mass_kg / out_mass[source]))
         base.append(pool)
         inner.append(terms)
 
@@ -582,8 +615,8 @@ def _iterate_component(graph, component, incoming, outgoing, share, tolerance) -
         pools = new_pools
         if residual < tolerance:
             break
-    for nid, pool in zip(component, pools):
-        share.update(_allocate(pool, outgoing[nid]))
+    for v, pool in zip(component, pools):
+        _allocate(pool, outgoing[v], edges, share)
     return residual
 
 

@@ -49,6 +49,8 @@ class CanonicalEntity:
 class ResolutionResult:
     alias_map: dict[str, str]
     entities: dict[str, CanonicalEntity]
+    # per raw name, its mentions by source; an entity's source_count sums its aliases'
+    name_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
 def normalize_name(raw: str) -> str:
@@ -154,15 +156,26 @@ def resolve(
         entities[cid] = CanonicalEntity(canonical_id=cid, display_name=display, aliases=set(raws))
 
     if sources is None:
-        for raw, count in raw_counts.items():
-            ent = entities[alias_map[raw]]
-            ent.source_count["all"] = ent.source_count.get("all", 0) + count
+        name_counts = {raw: {"all": count} for raw, count in raw_counts.items()}
     else:
+        name_counts = {}
         for raw, source in zip(names, sources):
-            ent = entities[alias_map[raw]]
-            ent.source_count[source] = ent.source_count.get(source, 0) + 1
+            counts = name_counts.setdefault(raw, {})
+            counts[source] = counts.get(source, 0) + 1
+    for raw, counts in name_counts.items():
+        _add_counts(entities[alias_map[raw]].source_count, counts, 1)
 
-    return ResolutionResult(alias_map=alias_map, entities=entities)
+    return ResolutionResult(alias_map=alias_map, entities=entities, name_counts=name_counts)
+
+
+def _add_counts(total: dict[str, int], counts: dict[str, int], sign: int) -> None:
+    """Add (sign 1) or remove (sign -1) ``counts`` from ``total``; drop sources at 0."""
+    for source, count in counts.items():
+        left = total.get(source, 0) + sign * count
+        if left:
+            total[source] = left
+        else:
+            total.pop(source, None)
 
 
 def _merge_similar(forms: list[str], threshold: float, uf: _UnionFind) -> None:
@@ -202,7 +215,9 @@ def apply_overrides(result: ResolutionResult, overrides: dict[str, str]) -> Reso
     """Apply manual raw -> canonical-name overrides; they win over merges.
 
     The override target may be any known raw alias (the raw name joins that
-    alias's entity) or a brand-new name (a fresh entity is created).
+    alias's entity) or a brand-new name (a fresh entity is created). The raw
+    name's mention counts move with it, so every ``source_count`` still sums
+    the mentions of the entity's aliases.
     """
     for raw, target in overrides.items():
         if target in result.alias_map:
@@ -217,13 +232,16 @@ def apply_overrides(result: ResolutionResult, overrides: dict[str, str]) -> Reso
         old_cid = result.alias_map.get(raw)
         if old_cid == cid:
             continue
+        counts = result.name_counts.get(raw, {})
         if old_cid is not None and old_cid in result.entities:
             old = result.entities[old_cid]
             old.aliases.discard(raw)
+            _add_counts(old.source_count, counts, -1)
             if not old.aliases:
                 del result.entities[old_cid]
         result.alias_map[raw] = cid
         result.entities[cid].aliases.add(raw)
+        _add_counts(result.entities[cid].source_count, counts, 1)
     return result
 
 

@@ -34,7 +34,7 @@ from collections import Counter, defaultdict
 from datetime import date, datetime
 
 from elia.core import EmissionFactor, Mention, Sentence
-from elia.exporter import GEXF_NS, _edge_weight, _fixed, _visible_nodes
+from elia.exporter import GEXF_NS, _visible_nodes
 from elia.graph import ELiabilityReport, NodeLiability, SupplyGraph
 from elia.resolution import (
     CanonicalEntity,
@@ -293,6 +293,14 @@ def random_dag(rng: random.Random, max_nodes: int = 10, max_edges: int = 20) -> 
             factor = EmissionFactor(round(rng.uniform(0, 3), 3), "manual")
             graph.add_edge(ids[i], ids[j], f"item-{i}-{j}", mass, factor)
     return graph
+
+
+def _fixed(value: float) -> str:
+    return f"{value:.6f}"
+
+
+def _edge_weight(edge, weight_attr: str) -> float:
+    return edge.edge_liability_kg if weight_attr == "edge_liability" else edge.mass_kg
 
 
 def oracle_write_gexf(graph, report, opts, path):

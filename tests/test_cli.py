@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 
@@ -417,3 +418,68 @@ def test_ingest_transcripts_compiles_one_gazetteer(tmp_path, monkeypatch):
                *sorted((fx / "transcripts").glob("*.txt")), "--gazetteer", fx / "gazetteer.txt")
     assert code == 0
     assert len(compiled) == 1
+
+
+@pytest.fixture
+def gc_seen(monkeypatch):
+    """Wrap names elia.cli calls so each records whether the collector is on."""
+    enabled = gc.isenabled()
+    gc.enable()
+    seen = {}
+
+    def record(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            seen.setdefault(name, []).append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    yield record, seen
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_graph_commands_run_with_the_collector_paused(tmp_path, gc_seen, capsys):
+    record, seen = gc_seen
+    for name in ("propagate", "query", "export"):
+        record(name)
+    graph, report = tmp_path / "graph.json", tmp_path / "report.json"
+    write_graph(graph, ["a", "b"], [("a", "b", 10.0, 1.0)])
+    assert run("propagate", "--graph", graph, "--out", report) == 0
+    assert gc.isenabled()
+    assert run("query", "top", "--graph", graph, "--report", report) == 0
+    assert gc.isenabled()
+    assert run("export", "--format", "dot", "--with-report", "--graph", graph,
+               "--report", report, "--out", tmp_path / "graph.dot") == 0
+    assert gc.isenabled()
+    assert seen == {"propagate": [False], "query": [False], "export": [False]}
+
+
+def test_collector_is_back_on_after_a_failed_command(tmp_path, gc_seen, caplog):
+    record, seen = gc_seen
+    record("propagate")
+    record("import_graph_json")
+    ring = tmp_path / "ring.json"
+    write_graph(ring, ["a", "b"], [("a", "b", 1.0, 1.0), ("b", "a", 1.0, 1.0)])
+    assert run("propagate", "--graph", ring, "--out", tmp_path / "report.json") == 1
+    assert "graph contains a cycle" in caplog.text
+    assert gc.isenabled()
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"format": "supply-graph",')
+    assert run("propagate", "--graph", malformed, "--out", tmp_path / "report.json") == 2
+    assert "malformed JSON" in caplog.text
+    assert gc.isenabled()
+    assert seen == {"import_graph_json": [False, False], "propagate": [False]}
+
+
+def test_extract_runs_with_the_collector_on(tmp_path, gc_seen, capsys):
+    record, seen = gc_seen
+    record("extract_batch")
+    store, fx = tmp_path / "store", fixture_path()
+    assert run("--store", store, "ingest-transcripts", *sorted((fx / "transcripts").glob("*.txt")),
+               "--gazetteer", fx / "gazetteer.txt") == 0
+    assert run("--store", store, "extract", "--backend", "recorded",
+               "--fixture", fx / "mock_responses.ndjson") == 0
+    assert seen == {"extract_batch": [True]}
+    assert gc.isenabled()

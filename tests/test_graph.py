@@ -419,7 +419,25 @@ def test_cycle_without_sink_reports_nonconvergence():
     assert err.value.cycle == ["a", "b", "a"]
 
 
+def parallel_zero_mass_dag() -> SupplyGraph:
+    # parallel a -> b edges split a's pool (a -> d carries no mass); b's two
+    # parallel edges to c carry none either, so b retains all it inherits
+    g = SupplyGraph()
+    for nid, direct in (("a", 5.0), ("b", 0.0), ("c", 1.5), ("d", 0.0)):
+        g.add_node(nid, nid.upper(), direct)
+    g.add_edge("a", "b", "x", 10.0, EmissionFactor(2.0, "manual"))
+    g.add_edge("a", "b", "x", 30.0, EmissionFactor(0.5, "table"))
+    g.add_edge("b", "c", "y", 0.0, EmissionFactor(3.0, "manual"))
+    g.add_edge("b", "c", "y", 0.0, EmissionFactor(3.0, "manual"))
+    g.add_edge("a", "d", "z", 0.0, EmissionFactor(1.0, "manual"))
+    return g
+
+
 def test_full_propagation_matches_whole_graph_oracle_on_dags():
+    g = parallel_zero_mass_dag()
+    expected = oracle_propagate(g).to_json()
+    assert propagate(g).to_json() == expected
+    assert propagate(g, on_cycle="iterate").to_json() == expected
     rng = random.Random(1972)
     for _ in range(150):
         g = random_dag(rng)

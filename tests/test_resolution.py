@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,45 @@ def test_override_to_fresh_name_creates_entity():
     cid = patched.alias_map["ACME LTD"]
     assert patched.entities[cid].display_name == "Acme Holdings"
     assert patched.alias_map["Acme Holdings"] == cid
+
+
+@pytest.mark.parametrize("target, counts", [
+    ("SAMSUNG ELECTRONICS AMERICA INC", {"all": 3}),
+    ("Samsung Group", {"all": 2}),
+])
+def test_override_moves_the_mentions_of_its_alias(target, counts):
+    result = resolve(["Samsung", "Samsung", "SAMSUNG ELECTRONICS AMERICA INC"])
+    patched = apply_overrides(result, {"Samsung": target})
+    assert patched.entities[patched.alias_map["Samsung"]].source_count == counts
+
+
+def _recount(names, sources, alias_map):
+    counts = {}
+    for raw, source in zip(names, sources or ["all"] * len(names)):
+        entity = counts.setdefault(alias_map[raw], Counter())
+        entity[source] += 1
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(["Acme Ltd", "ACME", "Acme Steel", "Beta Co", "Beta",
+                                    "Gamma Group"]), min_size=1, max_size=12),
+    with_sources=st.booleans(),
+    data=st.data(),
+)
+def test_source_counts_recount_the_names_after_overrides(names, with_sources, data):
+    sources = None
+    if with_sources:
+        sources = data.draw(st.lists(st.sampled_from(["bol", "transcript"]),
+                                     min_size=len(names), max_size=len(names)))
+    raws = st.sampled_from(sorted(set(names)) + ["Unseen Inc"])
+    targets = st.sampled_from(sorted(set(names)) + ["Acme Holdings", "Delta", "ACME LTD"])
+    overrides = data.draw(st.dictionaries(raws, targets, max_size=4))
+    result = apply_overrides(resolve(names, threshold=0.5, sources=sources), overrides)
+    recount = _recount(names, sources, result.alias_map)
+    for cid, entity in result.entities.items():
+        assert entity.source_count == dict(recount.get(cid, {}))
 
 
 def test_alias_map_order_independent_of_hash_seed():
