@@ -19,10 +19,7 @@ from .store import DatasetStore, load_store, new_store, save_store
 from .bol import BolParseReport, normalize_product_desc, parse_bol_file
 from .transcripts import (
     Gazetteer,
-    MentionDetector,
     detect_mentions,
-    gazetteer_detector,
-    load_gazetteer,
     prefilter,
     segment,
 )
@@ -70,7 +67,6 @@ __all__ = [
     "FewShotExample",
     "FieldMetrics",
     "Gazetteer",
-    "MentionDetector",
     "HttpCompletionBackend",
     "MatchOutcome",
     "Mention",
@@ -89,10 +85,8 @@ __all__ = [
     "export",
     "extract_batch",
     "format_triple_line",
-    "gazetteer_detector",
     "import_graph_json",
     "load_factor_table",
-    "load_gazetteer",
     "load_store",
     "match_field",
     "new_store",

@@ -8,13 +8,12 @@ mandatory column) is fatal.
 from __future__ import annotations
 
 import csv
-import functools
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import date, datetime
 
-from .core import CompanyRef, ShipmentRecord
+from .core import CompanyRef, ShipmentRecord, utf8_error
 from .errors import SchemaError
 
 # Recognized header spellings, lower-cased. Aggregator exports disagree on
@@ -40,11 +39,13 @@ HEADER_ALIASES = {
 
 MANDATORY_COLUMNS = ("shipper", "consignee", "product", "quantity", "weight")
 
-DEFAULT_STOP_PHRASES = (
+STOP_PHRASES = (
     "THIS SHIPMENT CONTAINS NO WOOD PACKAGING MATERIALS",
     "NO WOOD PACKAGING MATERIAL IS USED IN THE SHIPMENT",
     "NO SOLID WOOD PACKING MATERIAL",
 )
+_STOP_PATTERNS = tuple(re.compile(re.escape(phrase) + r"[.,;]?", re.IGNORECASE)
+                       for phrase in STOP_PHRASES)
 
 
 @dataclass
@@ -116,21 +117,24 @@ def parse_bol_file(
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, no header row") from None
-        columns = _map_header(header)
-
-        for row in reader:
-            line_no = reader.line_num
-            if not any(cell.strip() for cell in row):
-                continue
-            rec, reason = _row_to_record(row, columns, product_transform)
-            if rec is None:
-                report.reject(line_no, reason)
-            else:
-                records.append(rec)
-                report.accepted += 1
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: file is empty, no header row")
+            columns = _map_header(header)
+            for row in reader:
+                if not any(cell.strip() for cell in row):
+                    continue
+                rec, reason = _row_to_record(row, columns, product_transform)
+                if rec is None:
+                    report.reject(reader.line_num, reason)
+                else:
+                    records.append(rec)
+                    report.accepted += 1
+        except UnicodeDecodeError as exc:
+            raise utf8_error(path, SchemaError) from exc
+        except csv.Error as exc:
+            # e.g. an unterminated quote that runs a field past csv's size limit
+            raise SchemaError(f"{path}:{reader.line_num}: unreadable row: {exc}") from exc
     return records, report
 
 
@@ -183,13 +187,7 @@ def _row_to_record(row: list[str], columns: dict[str, int], product_transform):
     return record, ""
 
 
-@functools.lru_cache(maxsize=8)
-def _stop_patterns(stop_phrases: tuple[str, ...]) -> tuple[re.Pattern, ...]:
-    return tuple(re.compile(re.escape(phrase) + r"[.,;]?", re.IGNORECASE)
-                 for phrase in stop_phrases)
-
-
-def normalize_product_desc(text: str, stop_phrases: tuple[str, ...] = DEFAULT_STOP_PHRASES) -> str:
+def normalize_product_desc(text: str) -> str:
     """Collapse whitespace and strip boilerplate clauses from a description.
 
     Never returns empty for non-empty input: if removing stop phrases would
@@ -197,7 +195,7 @@ def normalize_product_desc(text: str, stop_phrases: tuple[str, ...] = DEFAULT_ST
     """
     collapsed = " ".join(text.split())
     stripped = collapsed
-    for pattern in _stop_patterns(stop_phrases):
+    for pattern in _STOP_PATTERNS:
         stripped = pattern.sub(" ", stripped)
     stripped = " ".join(stripped.split()).strip(" .,;")
     return stripped if stripped else collapsed

@@ -84,6 +84,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _one_character(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"expected one character, got {text!r}")
+    return text
+
+
 def _load_or_new_store(store_dir: str):
     if os.path.isdir(store_dir):
         return load_store(store_dir)
@@ -395,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest-bol", help="parse a bill-of-lading file into the store")
     p.add_argument("path")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=",", type=_one_character)
     p.add_argument("--tab", action="store_true", help="tab-delimited input")
     p.add_argument("--normalize-products", action="store_true",
                    help="strip boilerplate from product descriptions")

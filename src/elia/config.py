@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .core import utf8_error
 from .errors import ConfigError
 from .extraction import DEFAULT_API_KEY_ENV
 from .graph import MODES
@@ -43,18 +44,22 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
 def load_config(path: str) -> Config:
     values: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, _, raw = text.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw, path, lineno)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path, ConfigError) from exc
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        key, _, raw = text.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _coerce(key, raw, path, lineno)
     return Config(**values)
 
 

@@ -104,33 +104,53 @@ def is_placeholder(text: str | None) -> bool:
     return stripped.startswith("<") and stripped.endswith(">") and len(stripped) > 2
 
 
+def utf8_error(path: str, error: type[Exception]) -> Exception:
+    """``error`` naming ``path`` and its first line that is not UTF-8.
+
+    For a reader that has just failed to decode ``path``: the file is read
+    again only here, so valid files cost nothing extra. ``bytes.splitlines``
+    ends lines where text mode does, so line numbers agree with the reader's.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return error(f"{path}:{lineno}: not UTF-8: {exc}")
+    return error(f"{path}: not UTF-8")
+
+
 def read_ndjson(path: str, error: type[Exception], what: str = "row",
                 required: dict[str, type] | None = None):
     """Yield ``(lineno, row)`` for each non-blank line of an ndjson file.
 
-    Every line-delimited input goes through here. A line that is not JSON,
-    a row that is not an object, or a row without a field of ``required``
-    (field name -> type) raises ``error`` naming ``path:lineno``, so the
-    caller picks the exit code.
+    Every line-delimited input goes through here. A line that is not UTF-8
+    or not JSON, a row that is not an object, or a row without a field of
+    ``required`` (field name -> type) raises ``error`` naming
+    ``path:lineno``, so the caller picks the exit code.
     """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: malformed {what}: {exc}") from exc
-            if not isinstance(row, dict):
-                raise error(f"{path}:{lineno}: malformed {what}: not a JSON object")
-            for key, kind in (required or {}).items():
-                if key not in row:
-                    raise error(f"{path}:{lineno}: missing field {key!r}")
-                if not isinstance(row[key], kind):
-                    raise error(
-                        f"{path}:{lineno}: malformed {what}: {key!r} is not {kind.__name__}"
-                    )
-            yield lineno, row
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise error(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+                if not isinstance(row, dict):
+                    raise error(f"{path}:{lineno}: malformed {what}: not a JSON object")
+                for key, kind in (required or {}).items():
+                    if key not in row:
+                        raise error(f"{path}:{lineno}: missing field {key!r}")
+                    if not isinstance(row[key], kind):
+                        raise error(
+                            f"{path}:{lineno}: malformed {what}: {key!r} is not {kind.__name__}"
+                        )
+                yield lineno, row
+        except UnicodeDecodeError as exc:
+            raise utf8_error(path, error) from exc
 
 
 @dataclass

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 
-from .core import EmissionFactor, json_number, no_gc, replace_file
+from .core import EmissionFactor, json_number, no_gc, replace_file, utf8_error
 from .errors import DuplicateIdError, NodeNotFoundError, StoreFormatError, UsageError
 from .graph import ELiabilityReport, SupplyGraph
 
@@ -188,6 +188,8 @@ def import_graph_json(path: str) -> SupplyGraph:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise StoreFormatError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path, StoreFormatError) from exc
     if not isinstance(doc, dict) or doc.get("format") != "supply-graph":
         raise StoreFormatError(f"{path}: not a supply-graph document")
     if doc.get("version") != GRAPH_JSON_VERSION:
@@ -253,6 +255,8 @@ def load_report_json(path: str) -> ELiabilityReport:
         if not isinstance(nodes, dict) or not all(isinstance(row, dict) for row in nodes.values()):
             raise StoreFormatError(f"{path}: malformed report: 'nodes' must map node ids to objects")
         return ELiabilityReport.from_dict(doc)
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path, StoreFormatError) from exc
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise StoreFormatError(f"{path}: malformed report: {exc}") from exc
 

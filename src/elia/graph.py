@@ -23,17 +23,17 @@ Propagation modes:
   whose iteration does not settle below the tolerance (a closed cycle with
   no outflow has no finite solution) raises ``CycleError``, so a returned
   report is always converged. Its residual is the largest final per-node
-  change over the cyclic components: 0 on a DAG. An acyclic node's
-  inherited and transferred sums are kept from the pass that pools it;
-  the report's row pass sums only the nodes of cyclic components (and
-  every node under ``one_hop``).
+  change over the cyclic components: 0 on a DAG. Each component's report
+  rows are finished as soon as it is pooled and allocated, since every
+  share into and out of it is final by then; ``one_hop`` runs the same
+  loop over single nodes without allocating.
 
 Propagation works on integer positions: nodes are numbered in
 ``graph.nodes`` order and edges by their index in ``graph.edges``, each
-node keeps the positions of its incoming and outgoing edges, and the
-share of a pool passed along each edge lives in an ``array('d')`` indexed
-by edge position. Every sum runs in edge order, so the numbers do not
-depend on this layout.
+node keeps the positions of its incoming and outgoing edges, each edge
+the positions of its two ends, and the share of a pool passed along each
+edge lives in an ``array('d')`` indexed by edge position. Every sum runs
+in edge order, so the numbers do not depend on this layout.
 
 ``ELiabilityReport.to_json`` writes ``report.json`` from string templates,
 byte for byte what ``json.dumps(to_dict(), sort_keys=True, indent=2)``
@@ -58,7 +58,7 @@ from typing import Callable, Mapping
 
 from .core import EmissionFactor, json_number, read_ndjson
 from .errors import CycleError, DuplicateIdError, NodeNotFoundError, SchemaError, UsageError
-from .resolution import normalize_name
+from .resolution import display_name
 from .store import DatasetStore
 
 MODES = ("one_hop", "full_propagation")
@@ -170,11 +170,8 @@ class FactorTable:
     rules: list[tuple[str, EmissionFactor]] = field(default_factory=list)
     fallback: FactorSampler | EmissionFactor | None = None
 
-    def factor_for(self, item: str) -> EmissionFactor | None:
-        return self.resolver()(item)
-
     def resolver(self) -> Callable[[str], EmissionFactor | None]:
-        """``factor_for`` over the rules as they are now, for many lookups.
+        """The factor lookup over the rules as they are now.
 
         The item is upper-cased once and matched against each pattern's
         compiled glob. Rules added to the table afterwards are not seen by
@@ -229,16 +226,12 @@ class BuildReport:
 
 
 def _display_name_by_id(store: DatasetStore, alias_map: Mapping[str, str]) -> dict[str, str]:
-    """Most frequent raw name per canonical id, ties by normalized form."""
-    counts: dict[str, Counter] = defaultdict(Counter)
-    for raw in store.referenced_names():
-        cid = alias_map.get(raw)
-        if cid is not None:
-            counts[cid][raw] += 1
-    return {
-        cid: min(ctr, key=lambda raw: (-ctr[raw], normalize_name(raw), raw))
-        for cid, ctr in counts.items()
-    }
+    """The display name of each canonical id over the store's referenced names."""
+    counts = Counter(raw for raw in store.referenced_names() if raw in alias_map)
+    raws: dict[str, list[str]] = defaultdict(list)
+    for raw in counts:
+        raws[alias_map[raw]].append(raw)
+    return {cid: display_name(group, counts) for cid, group in raws.items()}
 
 
 def build_graph(
@@ -388,22 +381,24 @@ class ELiabilityReport:
 
 
 def _positions(graph: SupplyGraph):
-    """Node positions, and per node position its incoming and outgoing edge positions.
+    """Per node position its incoming and outgoing edge positions; each edge's head and tail.
 
     Nodes are numbered in ``graph.nodes`` order and edges by their index in
-    ``graph.edges``; each per-node list keeps edge order. ``head`` is the
-    position of each edge's target.
+    ``graph.edges``; each per-node list keeps edge order. ``head`` and
+    ``tail`` are the positions of each edge's target and source.
     """
     pos = {nid: v for v, nid in enumerate(graph.nodes)}
     incoming: list[list[int]] = [[] for _ in pos]
     outgoing: list[list[int]] = [[] for _ in pos]
     head: list[int] = []
+    tail: list[int] = []
     for i, edge in enumerate(graph.edges):
-        target = pos[edge.target]
+        target, source = pos[edge.target], pos[edge.source]
         head.append(target)
+        tail.append(source)
         incoming[target].append(i)
-        outgoing[pos[edge.source]].append(i)
-    return pos, incoming, outgoing, head
+        outgoing[source].append(i)
+    return incoming, outgoing, head, tail
 
 
 def _components(outgoing: list[list[int]], head: list[int]) -> list[list[int]]:
@@ -517,11 +512,11 @@ def propagate(
     if on_cycle not in ON_CYCLE:
         raise UsageError(f"on_cycle must be one of {ON_CYCLE}, got {on_cycle!r}")
 
-    pos, incoming, outgoing, head = _positions(graph)
+    incoming, outgoing, head, tail = _positions(graph)
     ids = list(graph.nodes)
     full = mode == "full_propagation"
-    components = _components(outgoing, head) if full else []
-    cyclic = [_is_cyclic(component, outgoing, head) for component in components]
+    components = _components(outgoing, head) if full else [[v] for v in range(len(ids))]
+    cyclic = [full and _is_cyclic(component, outgoing, head) for component in components]
     if on_cycle == "error" and any(cyclic):
         cycle = _cycle_in(components[cyclic.index(True)], ids, outgoing, head)
         raise CycleError(f"graph contains a cycle: {' -> '.join(cycle)}", cycle=cycle)
@@ -529,12 +524,11 @@ def propagate(
     nodes = list(graph.nodes.values())
     edges = graph.edges
     share = array("d", bytes(8 * len(edges)))
-    # (inherited, transferred) of each node pooled once, kept from that pass.
-    sums: list[tuple[float, float] | None] = [None] * len(nodes)
+    rows: list[NodeLiability | None] = [None] * len(nodes)
     residual = 0.0
     for component, is_cyclic in zip(components, cyclic):
         if is_cyclic:
-            change = _iterate_component(nodes, edges, component, pos, incoming, outgoing,
+            change = _iterate_component(nodes, edges, component, tail, incoming, outgoing,
                                         share, tolerance)
             if not change < tolerance:
                 raise CycleError(
@@ -543,26 +537,17 @@ def propagate(
                     cycle=_cycle_in(component, ids, outgoing, head),
                 )
             residual = max(residual, change)
-        else:
-            (v,) = component
+        # Every share into the component is final here, and so is every share out
+        # of it once its pools are allocated.
+        for v in component:
+            direct = nodes[v].direct_emissions_kg
             inherited = sum(edges[i].edge_liability_kg + share[i] for i in incoming[v])
-            _allocate(nodes[v].direct_emissions_kg + inherited, outgoing[v], edges, share)
-            sums[v] = inherited, sum(share[i] for i in outgoing[v])
-
-    rows = {}
-    for v, (nid, node) in enumerate(zip(ids, nodes)):
-        if sums[v] is not None:
-            inherited, transferred = sums[v]
-        else:
-            inherited = sum(edges[i].edge_liability_kg + share[i] for i in incoming[v])
+            if full and not is_cyclic:
+                _allocate(direct + inherited, outgoing[v], edges, share)
             transferred = sum(share[i] for i in outgoing[v]) if full else 0.0
-        rows[nid] = NodeLiability(
-            direct_kg=node.direct_emissions_kg,
-            inherited_kg=inherited,
-            transferred_kg=transferred,
-            retained_kg=node.direct_emissions_kg + inherited - transferred,
-        )
-    return ELiabilityReport(mode=mode, residual=residual, nodes=rows)
+            retained = direct + inherited - transferred
+            rows[v] = NodeLiability(direct, inherited, transferred, retained)
+    return ELiabilityReport(mode=mode, residual=residual, nodes=dict(zip(ids, rows)))
 
 
 def _allocate(pool: float, out: list[int], edges: list[Edge], share: array) -> None:
@@ -577,7 +562,8 @@ def _allocate(pool: float, out: list[int], edges: list[Edge], share: array) -> N
         share[i] = pool * (edges[i].mass_kg / out_mass)
 
 
-def _iterate_component(nodes, edges, component, pos, incoming, outgoing, share, tolerance) -> float:
+def _iterate_component(nodes, edges, component, tail, incoming, outgoing, share,
+                       tolerance) -> float:
     """Jacobi iteration of the pool equations inside one cyclic component.
 
     Inflow from upstream components is final by now, so it is frozen into a
@@ -596,7 +582,7 @@ def _iterate_component(nodes, edges, component, pos, incoming, outgoing, share, 
         terms = []
         for i in incoming[v]:
             e = edges[i]
-            source = pos[e.source]
+            source = tail[i]
             j = local.get(source)
             if j is None:
                 pool += e.edge_liability_kg + share[i]

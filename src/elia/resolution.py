@@ -25,7 +25,9 @@ import hashlib
 import math
 import re
 from collections import Counter
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .core import read_ndjson
 from .errors import SchemaError
@@ -105,6 +107,19 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def display_name(raws: Collection[str], counts: Mapping[str, int]) -> str:
+    """The name an entity shows: the most frequent of ``raws`` by ``counts``.
+
+    Ties go to the smallest normalized form, then to the smallest raw name;
+    only tied names are normalized.
+    """
+    top = max(counts[raw] for raw in raws)
+    tied = [raw for raw in raws if counts[raw] == top]
+    if len(tied) == 1:
+        return tied[0]
+    return min(tied, key=lambda raw: (normalize_name(raw), raw))
+
+
 def canonical_id_for(normalized_form: str) -> str:
     return "c" + hashlib.sha256(normalized_form.encode("utf-8")).hexdigest()[:12]
 
@@ -118,10 +133,11 @@ def resolve(
 
     Names with equal normalized forms always share an entity; distinct
     normalized forms merge when their token-set Jaccard similarity reaches
-    ``threshold`` (transitively, via union-find). The display name is the
-    most frequent raw alias, ties broken by the lexicographically smallest.
-    The canonical id hashes the cluster's smallest normalized form, so it
-    does not depend on input order.
+    ``threshold`` (transitively, via union-find). The display name follows
+    ``display_name``. The canonical id hashes the cluster's smallest
+    normalized form, so it does not depend on input order. ``sources``, when
+    given, names each name's source for ``source_count``; otherwise every
+    mention counts under "all".
     """
     if not names:
         return ResolutionResult(alias_map={}, entities={})
@@ -130,11 +146,15 @@ def resolve(
     if sources is not None and len(sources) != len(names):
         raise ValueError("sources, when given, must align with names")
 
-    raw_counts = Counter(names)
-    norm_of: dict[str, str] = {raw: normalize_name(raw) for raw in raw_counts}
+    name_counts: dict[str, dict[str, int]] = {}
+    raw_counts: dict[str, int] = {}
+    mentions = Counter(zip(names, repeat("all") if sources is None else sources))
+    for (raw, source), count in mentions.items():
+        name_counts.setdefault(raw, {})[source] = count
+        raw_counts[raw] = raw_counts.get(raw, 0) + count
     raws_of: dict[str, list[str]] = {}
     for raw in raw_counts:
-        raws_of.setdefault(norm_of[raw], []).append(raw)
+        raws_of.setdefault(normalize_name(raw), []).append(raw)
     forms = sorted(raws_of)
 
     uf = _UnionFind(forms)
@@ -150,18 +170,11 @@ def resolve(
     entities: dict[str, CanonicalEntity] = {}
     for root, raws in clusters.items():
         cid = canonical_id_for(root)
-        display = min(raws, key=lambda raw: (-raw_counts[raw], norm_of[raw], raw))
+        display = display_name(raws, raw_counts)
         for raw in sorted(raws):
             alias_map[raw] = cid
         entities[cid] = CanonicalEntity(canonical_id=cid, display_name=display, aliases=set(raws))
 
-    if sources is None:
-        name_counts = {raw: {"all": count} for raw, count in raw_counts.items()}
-    else:
-        name_counts = {}
-        for raw, source in zip(names, sources):
-            counts = name_counts.setdefault(raw, {})
-            counts[source] = counts.get(source, 0) + 1
     for raw, counts in name_counts.items():
         _add_counts(entities[alias_map[raw]].source_count, counts, 1)
 

@@ -30,7 +30,8 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .core import Sentence, ShipmentRecord, TransactionTriple, no_gc, read_ndjson, replace_file
+from .core import (Sentence, ShipmentRecord, TransactionTriple, no_gc, read_ndjson, replace_file,
+                   utf8_error)
 from .errors import DuplicateIdError, StoreFormatError, StoreVersionError
 
 FORMAT_VERSION = 1
@@ -155,6 +156,10 @@ def load_store(path: str) -> DatasetStore:
         raise StoreFormatError(
             f"{manifest_path}:{exc.lineno}: malformed manifest (offset {exc.pos}): {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise utf8_error(manifest_path, StoreFormatError) from exc
+    if not isinstance(manifest, dict):
+        raise StoreFormatError(f"{manifest_path}: malformed manifest: not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise StoreVersionError(

@@ -1,9 +1,7 @@
 """Load transcripts, segment into sentences, detect company mentions.
 
 The mention detector is deterministic: a gazetteer of known names plus a
-corporate-suffix heuristic. It stands behind a small interface so a
-statistical NER model can be plugged in later without touching the rest of
-the pipeline.
+corporate-suffix heuristic.
 """
 
 from __future__ import annotations
@@ -11,15 +9,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
-from .core import Mention, Sentence
+from .core import Mention, Sentence, utf8_error
+from .errors import InputError
 from .resolution import CORPORATE_SUFFIXES
 from .store import DatasetStore
-
-# Anything that maps a bare sentence to one with mentions populated can
-# stand in for the bundled detector (e.g. a statistical NER wrapper).
-MentionDetector = Callable[[Sentence], Sentence]
 
 # Tokens that end with a period without ending a sentence.
 _ABBREVIATIONS = {
@@ -85,16 +79,11 @@ class Gazetteer:
 def read_gazetteer_names(path: str) -> set[str]:
     """Read a gazetteer file: one company name per line, # starts a comment."""
     entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _read_text(path).splitlines():
         name = line.split("#", 1)[0].strip()
         if name:
             entries.add(name)
     return entries
-
-
-def load_gazetteer(path: str, suffixes: frozenset[str] = CORPORATE_SUFFIXES) -> Gazetteer:
-    """A ``Gazetteer`` over the names of a gazetteer file."""
-    return Gazetteer(entries=read_gazetteer_names(path), suffixes=suffixes)
 
 
 def gazetteer_from_store(store: DatasetStore, extra: tuple[str, ...] = ()) -> Gazetteer:
@@ -234,11 +223,6 @@ def detect_mentions(sentence: Sentence, gaz: Gazetteer) -> Sentence:
     )
 
 
-def gazetteer_detector(gaz: Gazetteer) -> MentionDetector:
-    """The default MentionDetector: the gazetteer + suffix heuristic."""
-    return lambda sentence: detect_mentions(sentence, gaz)
-
-
 def prefilter(sentences: list[Sentence]) -> list[Sentence]:
     """Keep exactly the sentences with at least one mention, order preserved."""
     return [s for s in sentences if s.mentions]
@@ -246,5 +230,11 @@ def prefilter(sentences: list[Sentence]) -> list[Sentence]:
 
 def load_transcript(path: str) -> tuple[str, str]:
     """Read one transcript file; the filename stem is the transcript id."""
-    p = Path(path)
-    return p.stem, p.read_text(encoding="utf-8")
+    return Path(path).stem, _read_text(path)
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path, InputError) from exc

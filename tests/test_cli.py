@@ -339,6 +339,58 @@ def test_bad_usage_exits_1():
     assert run("no-such-command") == 1
 
 
+@pytest.mark.parametrize("delimiter", ["ab", ""])
+def test_ingest_bol_delimiter_of_other_than_one_character_exits_1(tmp_path, caplog, delimiter):
+    store = tmp_path / "store"
+    assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv"),
+               "--delimiter", delimiter) == 1
+    assert f"argument --delimiter: expected one character, got {delimiter!r}" in caplog.text
+    assert not store.exists()
+
+
+def test_manifest_that_is_not_an_object_exits_2(tmp_path, caplog):
+    store = tmp_path / "store"
+    assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0
+    (store / "manifest.json").write_text("[]")
+    assert run("--store", store, "resolve") == 2
+    assert f"{store / 'manifest.json'}: malformed manifest: not a JSON object" in caplog.text
+
+
+_TRANSCRIPT = fixture_path("transcripts", "homestead_retail_q4_2021.txt")
+
+
+# (argv, file that gets a byte that is not UTF-8 at the start of its line 2,
+# its content or the fixture it copies, or None for a store file, exit code)
+@pytest.mark.parametrize("argv, target, source, code", [
+    pytest.param(["resolve"], "store/records.ndjson", None, 2, id="store-table"),
+    pytest.param(["resolve"], "store/manifest.json", None, 2, id="store-manifest"),
+    pytest.param(["propagate"], "store/graph.json", None, 2, id="graph-json"),
+    pytest.param(["query", "top"], "store/report.json", None, 2, id="report-json"),
+    pytest.param(["ingest-bol", "BAD"], "bol.csv", fixture_path("bol_sample.csv"), 1, id="bol"),
+    pytest.param(["ingest-transcripts", "BAD"], "call.txt", _TRANSCRIPT, 1, id="transcript"),
+    pytest.param(["ingest-transcripts", _TRANSCRIPT, "--gazetteer", "BAD"], "gazetteer.txt",
+                 fixture_path("gazetteer.txt"), 1, id="gazetteer"),
+    pytest.param(["--config", "BAD", "resolve"], "elia.conf",
+                 b"temperature = 0.1\nmodel_name = m\n", 1, id="config"),
+    pytest.param(["build", "--factors", "BAD"], "factors.ndjson",
+                 fixture_path("factors_demo.ndjson"), 1, id="ndjson-input"),
+])
+def test_non_utf8_file_names_file_and_line(tmp_path, caplog, argv, target, source, code):
+    store = tmp_path / "store"
+    assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0
+    assert run("--store", store, "resolve") == 0
+    assert run("--store", store, "build", "--constant-factor", "1.0") == 0
+    assert run("--store", store, "propagate") == 0
+    bad = tmp_path / target
+    if source is not None:
+        bad.write_bytes(source if isinstance(source, bytes) else source.read_bytes())
+    first, rest = bad.read_bytes().split(b"\n", 1)
+    bad.write_bytes(first + b"\n\xff" + rest)
+    argv = [bad if arg == "BAD" else arg for arg in argv]
+    assert run("--store", store, *argv) == code
+    assert f"{bad}:2: not UTF-8: 'utf-8' codec can't decode byte 0xff" in caplog.text
+
+
 def test_config_file_values_and_errors(tmp_path, capsys):
     config = tmp_path / "elia.conf"
     config.write_text("temperature = 0.7\nresolution_threshold = 0.9\n# comment\n")

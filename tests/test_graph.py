@@ -223,12 +223,12 @@ def test_factor_table_first_match_wins_and_fallback(tmp_path):
         rules=[("WINE*", EmissionFactor(1.4, "table")), ("*", EmissionFactor(0.5, "table"))],
         fallback=FactorSampler(seed=1),
     )
-    assert table.factor_for("WINE CASES").per_kg_co2e == 1.4
-    assert table.factor_for("HANDBAG").per_kg_co2e == 0.5
+    assert table.resolver()("WINE CASES").per_kg_co2e == 1.4
+    assert table.resolver()("HANDBAG").per_kg_co2e == 0.5
     narrowed = FactorTable(rules=[("WINE*", EmissionFactor(1.4, "table"))], fallback=FactorSampler(seed=1))
-    sampled = narrowed.factor_for("HANDBAG")
+    sampled = narrowed.resolver()("HANDBAG")
     assert sampled.provenance == "sampled"
-    assert narrowed.factor_for("HANDBAG") == sampled
+    assert narrowed.resolver()("HANDBAG") == sampled
 
     path = tmp_path / "factors.ndjson"
     path.write_text(
@@ -236,7 +236,7 @@ def test_factor_table_first_match_wins_and_fallback(tmp_path):
         '{"item_pattern": "*", "per_kg_co2e": 0.5}\n'
     )
     loaded = load_factor_table(str(path))
-    assert loaded.factor_for("WINE ON PALLETS").per_kg_co2e == 1.4
+    assert loaded.resolver()("WINE ON PALLETS").per_kg_co2e == 1.4
 
 
 def _fnmatch_factor_for(table: FactorTable, item: str):
@@ -266,7 +266,6 @@ def test_factor_table_resolver_matches_fnmatch_loop(patterns, items, fallback):
     for item in items:
         expected = _fnmatch_factor_for(table, item)
         assert resolver(item) == expected
-        assert table.factor_for(item) == expected
 
 
 def test_propagate_chain_hand_computed():

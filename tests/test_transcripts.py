@@ -13,8 +13,8 @@ from elia.transcripts import (
     Gazetteer,
     detect_mentions,
     gazetteer_from_store,
-    load_gazetteer,
     prefilter,
+    read_gazetteer_names,
     segment,
 )
 from oracles import oracle_mentions
@@ -321,8 +321,7 @@ def test_prefilter_identity_when_all_mentioned():
 def test_gazetteer_loader(tmp_path):
     path = tmp_path / "gaz.txt"
     path.write_text("Samsung\n# a comment\nLG Display  \n\n")
-    gaz = load_gazetteer(str(path))
-    assert gaz.entries == {"Samsung", "LG Display"}
+    assert read_gazetteer_names(str(path)) == {"Samsung", "LG Display"}
 
 
 def test_gazetteer_from_store(sample_records):
@@ -333,24 +332,3 @@ def test_gazetteer_from_store(sample_records):
     assert "PELTER WINERY LTD" in gaz.entries
     assert "Samsung" in gaz.entries
     assert len(gaz.entries) == 7  # 3 shippers + 3 consignees + 1 extra
-
-
-def test_detector_interface_is_pluggable():
-    from elia.core import Mention
-    from elia.transcripts import MentionDetector, gazetteer_detector
-
-    default: MentionDetector = gazetteer_detector(Gazetteer(entries={"Samsung"}))
-    assert [m.surface for m in default(one_sentence("Samsung grew.")).mentions] == ["Samsung"]
-
-    def shouty_detector(sentence: Sentence) -> Sentence:
-        spans = [
-            Mention(m.start(), m.end(), m.group())
-            for m in __import__("re").finditer(r"\b[A-Z]{4,}\b", sentence.text)
-        ]
-        return Sentence(sentence.transcript_id, sentence.index, sentence.text,
-                        mentions=spans, id=sentence.id)
-
-    custom: MentionDetector = shouty_detector
-    got = custom(one_sentence("We met ACME yesterday."))
-    assert [m.surface for m in got.mentions] == ["ACME"]
-    assert prefilter([got]) == [got]
