@@ -59,7 +59,7 @@ class BolParseReport:
         self.rejects.append((line_no, reason))
 
 
-def _map_header(header: list[str]) -> dict[str, int]:
+def _map_header(header: list[str], path: str) -> dict[str, int]:
     mapping: dict[str, int] = {}
     for idx, cell in enumerate(header):
         key = cell.strip().lower()
@@ -68,7 +68,7 @@ def _map_header(header: list[str]) -> dict[str, int]:
                 mapping[canonical] = idx
     missing = [c for c in MANDATORY_COLUMNS if c not in mapping]
     if missing:
-        raise SchemaError(f"header is missing mandatory column(s): {', '.join(missing)}")
+        raise SchemaError(f"{path}: header is missing mandatory column(s): {', '.join(missing)}")
     return mapping
 
 
@@ -120,7 +120,7 @@ def parse_bol_file(
             header = next(reader, None)
             if header is None:
                 raise SchemaError(f"{path}: file is empty, no header row")
-            columns = _map_header(header)
+            columns = _map_header(header, path)
             for row in reader:
                 if not any(cell.strip() for cell in row):
                     continue

@@ -96,17 +96,6 @@ def _load_or_new_store(store_dir: str):
     return new_store()
 
 
-def _load_existing_store(store_dir: str):
-    if not os.path.isdir(store_dir):
-        raise StoreFormatError(f"{store_dir}: store directory does not exist (run ingest first)")
-    return load_store(store_dir)
-
-
-def _config_from(args) -> Config:
-    cfg = load_config(args.config) if args.config else Config()
-    return cfg
-
-
 def _print_counts(stage: str, counts: dict[str, int]) -> None:
     print(f"{stage}: " + " ".join(f"{key}={value}" for key, value in counts.items()))
 
@@ -216,7 +205,7 @@ def _extract(store, cfg: Config, backend: str, fixture: str | None = None,
 
 # Not no_gc(): live requests make garbage no offline run can bound; a recorded run spends ~3 ms in gc.
 def cmd_extract(args, cfg: Config) -> int:
-    store = _load_existing_store(args.store)
+    store = load_store(args.store)
     counts = _extract(store, cfg, args.backend, args.fixture, args.examples)
     save_store(store, args.store)
     _print_counts("extract", counts)
@@ -236,7 +225,7 @@ def _resolve(store, cfg: Config, threshold: float | None = None,
 
 @no_gc()
 def cmd_resolve(args, cfg: Config) -> int:
-    store = _load_existing_store(args.store)
+    store = load_store(args.store)
     counts = _resolve(store, cfg, args.threshold, args.overrides)
     save_store(store, args.store)
     _print_counts("resolve", counts)
@@ -261,7 +250,7 @@ def _build(store, factors):
 
 @no_gc()
 def cmd_build(args, cfg: Config) -> int:
-    store = _load_existing_store(args.store)
+    store = load_store(args.store)
     graph, report = _build(store, _factor_source(args, cfg))
     out = args.out or os.path.join(args.store, GRAPH_FILE)
     export(graph, None, ExportOptions(format="graph_json"), out)
@@ -307,18 +296,9 @@ def cmd_query(args, cfg: Config) -> int:
     report_path = args.report or os.path.join(args.store, REPORT_FILE)
     if os.path.exists(report_path):
         report = load_report_json(report_path)
-    params: dict[str, object] = {}
-    if args.selector == "top":
-        params = {"by": args.by, "k": args.k}
-    elif args.selector in ("breakdown", "supplier-count"):
-        if not args.node:
-            raise UsageError(f"{args.selector} requires --node")
-        params = {"node": _resolve_node_arg(graph, args.node)}
-    elif args.selector == "item-total":
-        if args.prefix is None:
-            raise UsageError("item-total requires --prefix")
-        params = {"prefix": args.prefix}
-    result = query(graph, report, args.selector, **params)
+    node = None if args.node is None else _resolve_node_arg(graph, args.node)
+    result = query(graph, report, args.selector, by=args.by, k=args.k, node=node,
+                   prefix=args.prefix)
     print(result.render())
     return 0
 
@@ -480,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.verbose:
             log.setLevel(logging.DEBUG)
-        cfg = _config_from(args)
+        cfg = load_config(args.config) if args.config else Config()
         return args.func(args, cfg)
     except (UsageError, ConfigError, SchemaError, InputError, CycleError,
             DuplicateIdError, ValueError) as exc:

@@ -59,7 +59,12 @@ def load_config(path: str) -> Config:
         key, raw = key.strip(), raw.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw, path, lineno)
+        value = _coerce(key, raw, path, lineno)
+        try:
+            Config(**{key: value})  # each check reads one field; the others keep defaults
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        values[key] = value
     return Config(**values)
 
 

@@ -121,6 +121,24 @@ def utf8_error(path: str, error: type[Exception]) -> Exception:
     return error(f"{path}: not UTF-8")
 
 
+def read_json(path: str, error: type[Exception], what: str) -> dict:
+    """The JSON object in ``path``, the one reader of whole-file JSON documents.
+
+    A file that is not UTF-8 or not JSON raises ``error`` naming
+    ``path:lineno``, a top level that is not an object ``error`` naming ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}: malformed {what}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path, error) from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: malformed {what}: not a JSON object")
+    return doc
+
+
 def read_ndjson(path: str, error: type[Exception], what: str = "row",
                 required: dict[str, type] | None = None):
     """Yield ``(lineno, row)`` for each non-blank line of an ndjson file.

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 
-from .core import EmissionFactor, json_number, no_gc, replace_file, utf8_error
+from .core import EmissionFactor, json_number, no_gc, read_json, replace_file
 from .errors import DuplicateIdError, NodeNotFoundError, StoreFormatError, UsageError
 from .graph import ELiabilityReport, SupplyGraph
 
@@ -183,14 +182,8 @@ def _require_strings(row: dict, keys: tuple[str, ...]) -> None:
 @no_gc()
 def import_graph_json(path: str) -> SupplyGraph:
     """Rebuild a graph from a graph_json file; exact inverse of export."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise StoreFormatError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise utf8_error(path, StoreFormatError) from exc
-    if not isinstance(doc, dict) or doc.get("format") != "supply-graph":
+    doc = read_json(path, StoreFormatError, "JSON")
+    if doc.get("format") != "supply-graph":
         raise StoreFormatError(f"{path}: not a supply-graph document")
     if doc.get("version") != GRAPH_JSON_VERSION:
         raise StoreFormatError(
@@ -248,16 +241,13 @@ def import_graph_json(path: str) -> SupplyGraph:
 
 @no_gc()
 def load_report_json(path: str) -> ELiabilityReport:
+    doc = read_json(path, StoreFormatError, "report")
+    nodes = doc.get("nodes")
+    if not isinstance(nodes, dict) or not all(isinstance(row, dict) for row in nodes.values()):
+        raise StoreFormatError(f"{path}: malformed report: 'nodes' must map node ids to objects")
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        nodes = doc.get("nodes") if isinstance(doc, dict) else None
-        if not isinstance(nodes, dict) or not all(isinstance(row, dict) for row in nodes.values()):
-            raise StoreFormatError(f"{path}: malformed report: 'nodes' must map node ids to objects")
         return ELiabilityReport.from_dict(doc)
-    except UnicodeDecodeError as exc:
-        raise utf8_error(path, StoreFormatError) from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise StoreFormatError(f"{path}: malformed report: {exc}") from exc
 
 

@@ -47,7 +47,6 @@ standard.
 from __future__ import annotations
 
 import fnmatch
-import functools
 import random
 import re
 from array import array
@@ -153,9 +152,11 @@ class FactorSampler:
         return 0.0  # essentially unreachable for sane (mean, std)
 
 
-@functools.lru_cache(maxsize=4096)
 def _glob_matcher(pattern: str) -> Callable[[str], re.Match | None]:
-    """``fnmatchcase`` against ``pattern`` upper-cased, for an upper-cased item."""
+    """``fnmatchcase`` against ``pattern`` upper-cased, for an upper-cased item.
+
+    Compiles on every call: ``FactorTable.resolver`` compiles each rule once.
+    """
     return re.compile(fnmatch.translate(pattern.upper())).match
 
 
@@ -175,19 +176,17 @@ class FactorTable:
 
         The item is upper-cased once and matched against each pattern's
         compiled glob. Rules added to the table afterwards are not seen by
-        the returned function.
+        the returned function. Unmatched items go to the fallback's resolver.
         """
         rules = [(_glob_matcher(pattern), factor) for pattern, factor in self.rules]
-        fallback = self.fallback
+        fallback = None if self.fallback is None else _factor_resolver(self.fallback)
 
         def factor_for(item: str) -> EmissionFactor | None:
             upper = item.upper()
             for match, factor in rules:
                 if match(upper):
                     return factor
-            if isinstance(fallback, FactorSampler):
-                return fallback.factor_for(item)
-            return fallback
+            return None if fallback is None else fallback(item)
 
         return factor_for
 
@@ -628,22 +627,25 @@ class QueryResult:
         return "\n".join(lines)
 
 
-def query(
-    graph: SupplyGraph,
-    report: ELiabilityReport | None,
-    selector: str,
-    **params,
-) -> QueryResult:
-    """Aggregate queries over a built graph (and, for some, its report).
+def query(graph: SupplyGraph, report: ELiabilityReport | None, selector: str, *,
+          by: str = "retained", k: int = 10, node: str | None = None,
+          prefix: str | None = None) -> QueryResult:
+    """Aggregate queries over a built graph (and, for ``top``, its report).
 
-    Selectors: ``top`` (k nodes by retained or inherited liability),
-    ``breakdown`` (per-supplier contribution for a node), ``item-total``
-    (summed edge liability for an item prefix), ``supplier-count``
-    (distinct direct suppliers of a node).
+    Selectors: ``top`` (``k`` nodes by ``by`` = retained or inherited
+    liability), ``breakdown`` (per-supplier contribution to ``node``),
+    ``item-total`` (summed edge liability for an item ``prefix``),
+    ``supplier-count`` (distinct direct suppliers of ``node``). A selector
+    reads only its own arguments; one missing or out of range raises
+    ``UsageError``, a ``node`` not in the graph ``NodeNotFoundError``.
     """
+    if selector in ("breakdown", "supplier-count"):
+        if node is None:
+            raise UsageError(f"{selector} requires a node")
+        if node not in graph.nodes:
+            raise NodeNotFoundError(f"unknown node: {node}")
+
     if selector == "top":
-        by = params.get("by", "retained")
-        k = int(params.get("k", 10))
         if by not in ("retained", "inherited"):
             raise UsageError(f"top supports by=retained|inherited, got {by!r}")
         if k < 1:
@@ -661,10 +663,9 @@ def query(
         return QueryResult(headers=("canonical_id", "display_name", f"{by}_kg"), rows=rows)
 
     if selector == "breakdown":
-        node_id = _require_node(graph, params)
         totals: dict[str, float] = defaultdict(float)
         for edge in graph.edges:
-            if edge.target == node_id:
+            if edge.target == node:
                 totals[edge.source] += edge.edge_liability_kg
         rows = [
             (src, graph.nodes[src].display_name, total)
@@ -673,9 +674,8 @@ def query(
         return QueryResult(headers=("supplier_id", "display_name", "liability_kg"), rows=rows)
 
     if selector == "item-total":
-        prefix = params.get("prefix")
         if prefix is None:
-            raise UsageError("item-total requires prefix=...")
+            raise UsageError("item-total requires a prefix")
         upper = prefix.upper()
         matched = [e for e in graph.edges if e.item.upper().startswith(upper)]
         total = sum(e.edge_liability_kg for e in matched)
@@ -685,19 +685,9 @@ def query(
         )
 
     if selector == "supplier-count":
-        node_id = _require_node(graph, params)
-        suppliers = {e.source for e in graph.edges if e.target == node_id}
+        suppliers = {e.source for e in graph.edges if e.target == node}
         return QueryResult(
-            headers=("canonical_id", "unique_suppliers"), rows=[(node_id, len(suppliers))]
+            headers=("canonical_id", "unique_suppliers"), rows=[(node, len(suppliers))]
         )
 
     raise UsageError(f"unknown query selector: {selector!r}")
-
-
-def _require_node(graph: SupplyGraph, params) -> str:
-    node_id = params.get("node")
-    if node_id is None:
-        raise UsageError("this selector requires node=...")
-    if node_id not in graph.nodes:
-        raise NodeNotFoundError(f"unknown node: {node_id}")
-    return node_id

@@ -259,9 +259,12 @@ def apply_overrides(result: ResolutionResult, overrides: dict[str, str]) -> Reso
 
 
 def load_overrides(path: str) -> dict[str, str]:
-    """Read a manual override file: ndjson rows {"raw": ..., "canonical": ...}."""
+    """Read a manual override file: ndjson rows {"raw": ..., "canonical": ...}, neither blank."""
     overrides = {}
     required = {"raw": str, "canonical": str}
-    for _, row in read_ndjson(path, SchemaError, "override row", required):
+    for lineno, row in read_ndjson(path, SchemaError, "override row", required):
+        for key in required:
+            if not row[key].strip():
+                raise SchemaError(f"{path}:{lineno}: malformed override row: {key!r} is blank")
         overrides[row["raw"]] = row["canonical"]
     return overrides

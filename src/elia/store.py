@@ -30,8 +30,8 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .core import (Sentence, ShipmentRecord, TransactionTriple, no_gc, read_ndjson, replace_file,
-                   utf8_error)
+from .core import (Sentence, ShipmentRecord, TransactionTriple, no_gc, read_json, read_ndjson,
+                   replace_file)
 from .errors import DuplicateIdError, StoreFormatError, StoreVersionError
 
 FORMAT_VERSION = 1
@@ -146,20 +146,12 @@ def save_store(store: DatasetStore, path: str) -> None:
 @no_gc()
 def load_store(path: str) -> DatasetStore:
     """Load a store directory; raises on malformed files or version skew."""
+    if not os.path.isdir(path):
+        raise StoreFormatError(f"{path}: store directory does not exist (run ingest first)")
     manifest_path = os.path.join(path, MANIFEST_FILE)
-    if not os.path.isdir(path) or not os.path.exists(manifest_path):
+    if not os.path.exists(manifest_path):
         raise StoreFormatError(f"{path}: not a dataset store (missing {MANIFEST_FILE})")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise StoreFormatError(
-            f"{manifest_path}:{exc.lineno}: malformed manifest (offset {exc.pos}): {exc.msg}"
-        ) from exc
-    except UnicodeDecodeError as exc:
-        raise utf8_error(manifest_path, StoreFormatError) from exc
-    if not isinstance(manifest, dict):
-        raise StoreFormatError(f"{manifest_path}: malformed manifest: not a JSON object")
+    manifest = read_json(manifest_path, StoreFormatError, "manifest")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise StoreVersionError(

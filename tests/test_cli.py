@@ -177,6 +177,24 @@ def test_query_unknown_node_exits_1(tmp_path):
     assert run("--store", store, "query", "breakdown", "--node", "NOT A COMPANY") == 1
 
 
+@pytest.mark.parametrize("selector, missing", [
+    ("breakdown", "node"), ("supplier-count", "node"), ("item-total", "prefix"),
+])
+def test_query_without_its_node_or_prefix_exits_1(tmp_path, caplog, selector, missing):
+    graph = tmp_path / "graph.json"
+    write_graph(graph, ["a", "b"], [("a", "b", 10.0, 1.0)])
+    assert run("query", selector, "--graph", graph, "--report", tmp_path / "none.json") == 1
+    assert f"{selector} requires a {missing}" in caplog.text
+
+
+def test_query_top_with_a_node_naming_no_node_exits_1(tmp_path, caplog):
+    graph, report = tmp_path / "graph.json", tmp_path / "report.json"
+    write_graph(graph, ["a", "b"], [("a", "b", 10.0, 1.0)])
+    assert run("propagate", "--graph", graph, "--out", report) == 0
+    assert run("query", "top", "--node", "nope", "--graph", graph, "--report", report) == 1
+    assert "no node with id or display name 'nope'" in caplog.text
+
+
 def write_graph(path, nodes, edges):
     g = SupplyGraph()
     for nid in nodes:
@@ -356,6 +374,36 @@ def test_manifest_that_is_not_an_object_exits_2(tmp_path, caplog):
     assert f"{store / 'manifest.json'}: malformed manifest: not a JSON object" in caplog.text
 
 
+# (argv that reads the document, its file in the store, the name its errors use)
+@pytest.mark.parametrize("argv, name, what", [
+    pytest.param(["resolve"], "manifest.json", "manifest", id="manifest"),
+    pytest.param(["propagate"], "graph.json", "JSON", id="graph-json"),
+    pytest.param(["query", "top"], "report.json", "report", id="report-json"),
+])
+@pytest.mark.parametrize("content, reason", [
+    pytest.param('{\n  "format": ', ":2: malformed {what}: Expecting value", id="truncated"),
+    pytest.param("[]\n", ": malformed {what}: not a JSON object", id="not-an-object"),
+])
+def test_malformed_json_document_names_path_exits_2(tmp_path, caplog, argv, name, what,
+                                                    content, reason):
+    store = tmp_path / "store"
+    assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0
+    assert run("--store", store, "resolve") == 0
+    assert run("--store", store, "build", "--constant-factor", "1.0") == 0
+    assert run("--store", store, "propagate") == 0
+    (store / name).write_text(content)
+    assert run("--store", store, *argv) == 2
+    assert f"{store / name}{reason.format(what=what)}" in caplog.text
+
+
+def test_bol_header_missing_columns_names_the_file(tmp_path, caplog):
+    store, bol = tmp_path / "store", fixture_path("bol_sample.csv")
+    assert run("--store", store, "ingest-bol", bol, "--delimiter", ";") == 1
+    assert (f"{bol}: header is missing mandatory column(s): "
+            "shipper, consignee, product, quantity, weight") in caplog.text
+    assert not store.exists()
+
+
 _TRANSCRIPT = fixture_path("transcripts", "homestead_retail_q4_2021.txt")
 
 
@@ -405,6 +453,22 @@ def test_config_file_values_and_errors(tmp_path, capsys):
     assert run("--store", store, "--config", config, "resolve") == 1
 
 
+@pytest.mark.parametrize("line, message", [
+    pytest.param("propagation_mode = sideways", "unknown propagation_mode: 'sideways'",
+                 id="propagation_mode"),
+    pytest.param("temperature = 9.5", "temperature must be in [0, 2], got 9.5", id="temperature"),
+    pytest.param("resolution_threshold = -0.1",
+                 "resolution_threshold must be in [0, 1], got -0.1", id="resolution_threshold"),
+    pytest.param("concurrency_limit = 0", "concurrency_limit must be a positive integer",
+                 id="concurrency_limit"),
+])
+def test_config_value_error_names_path_and_line(tmp_path, caplog, line, message):
+    config = tmp_path / "elia.conf"
+    config.write_text(f"# comment\nmodel_name = m\n{line}\n")
+    assert run("--store", tmp_path / "store", "--config", config, "resolve") == 1
+    assert f"{config}:3: {message}" in caplog.text
+
+
 # sha256 of the demo's outputs; manifest.json is left out because it carries a timestamp.
 DEMO_GOLDEN = {
     "stdout": "c47538e11c6d5db9b569e0ff1c876c367a0d8942c22ba132f6add3049de01c8f",
@@ -442,6 +506,13 @@ def test_demo_outputs_match_golden(tmp_path, capsys):
     pytest.param(["resolve", "--overrides", "BAD"], "overrides.ndjson",
                  '{"raw": ["A"], "canonical": "B"}\n',
                  1, ":1: malformed override row: 'raw' is not str", id="overrides-field-type"),
+    pytest.param(["resolve", "--overrides", "BAD"], "overrides.ndjson",
+                 '{"raw": "A", "canonical": "B"}\n{"raw": "A", "canonical": "   "}\n',
+                 1, ":2: malformed override row: 'canonical' is blank",
+                 id="overrides-blank-canonical"),
+    pytest.param(["resolve", "--overrides", "BAD"], "overrides.ndjson",
+                 '{"raw": "", "canonical": "B"}\n',
+                 1, ":1: malformed override row: 'raw' is blank", id="overrides-blank-raw"),
     pytest.param(["eval", "--pred", "BAD", "--gold", "BAD"], "triples.ndjson",
                  '{"source_id": "s1", "item": "x"}\n"s2"\n',
                  1, ":2: malformed triple row", id="eval-row-not-object"),

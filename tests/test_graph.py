@@ -570,6 +570,12 @@ def test_query_unknown_selector():
         query(chain_graph(), None, "median")
 
 
+@pytest.mark.parametrize("selector", ["breakdown", "supplier-count", "item-total"])
+def test_query_without_its_node_or_prefix(selector):
+    with pytest.raises(UsageError, match=f"^{selector} requires a "):
+        query(chain_graph(), None, selector)
+
+
 def test_query_breakdown_unknown_node():
     with pytest.raises(NodeNotFoundError):
         query(chain_graph(), None, "breakdown", node="nope")
