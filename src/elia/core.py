@@ -2,19 +2,33 @@
 
 All types are plain dataclasses: they validate their invariants on
 construction, compare by value, and serialize to flat dicts so the
-newline-delimited store files stay diffable.
+newline-delimited store files stay diffable. The row types a store or
+graph holds by the thousand are slotted, so each instance carries no
+``__dict__``.
+
+SHA-256 comes from the interpreter's builtin ``_sha2`` (CPython 3.12+) or
+``_sha256`` (3.10, 3.11) module. ``hashlib`` would load OpenSSL, about
+3.7 MiB of resident memory in every CLI process, to hash ids of about 100
+bytes; it is the fallback for an interpreter built without either module.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from datetime import date
 from json.encoder import encode_basestring_ascii
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 ROLES = ("shipper", "consignee", "buyer", "supplier", "unknown")
 
@@ -28,7 +42,7 @@ def content_hash(*parts: object, prefix: str = "", length: int = 16) -> str:
     separators=(",", ":"))``, built here without a per-call encoder.
     """
     payload = "[" + ",".join([encode_basestring_ascii(str(p)) for p in parts]) + "]"
-    return prefix + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:length]
+    return prefix + sha256(payload.encode("utf-8")).hexdigest()[:length]
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -171,7 +185,7 @@ def read_ndjson(path: str, error: type[Exception], what: str = "row",
             raise utf8_error(path, error) from exc
 
 
-@dataclass
+@dataclass(slots=True)
 class CompanyRef:
     """A company name as it appeared in a source, plus resolution state."""
 
@@ -206,7 +220,7 @@ class CompanyRef:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ShipmentRecord:
     """One bill-of-lading row.
 
@@ -273,7 +287,7 @@ class ShipmentRecord:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionTriple:
     """An extracted (buyer, supplier, item) relation with provenance.
 
@@ -322,7 +336,7 @@ class TransactionTriple:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmissionFactor:
     """kg CO2-equivalent emitted per kg shipped, with provenance."""
 
@@ -343,7 +357,7 @@ class EmissionFactor:
         return cls(per_kg_co2e=float(d["per_kg_co2e"]), provenance=d.get("provenance", "manual"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     """A detected company-name span inside a sentence."""
 
@@ -356,7 +370,7 @@ class Mention:
             raise ValueError("mention span must satisfy 0 <= start < end")
 
 
-@dataclass
+@dataclass(slots=True)
 class Sentence:
     """One transcript sentence with detected company mentions."""
 

@@ -247,7 +247,9 @@ def load_report_json(path: str) -> ELiabilityReport:
         raise StoreFormatError(f"{path}: malformed report: 'nodes' must map node ids to objects")
     try:
         return ELiabilityReport.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise StoreFormatError(f"{path}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
         raise StoreFormatError(f"{path}: malformed report: {exc}") from exc
 
 

@@ -19,7 +19,6 @@ import json
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -335,7 +334,8 @@ def extract_batch(
 
     Returns (triples, errors) where every sentence lands in exactly one of
     the two lists. Calls run with bounded concurrency but results keep
-    input order.
+    input order. The thread pool is imported on first use, so only
+    ``extract`` pays for ``concurrent.futures``, not every CLI process.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
@@ -345,6 +345,8 @@ def extract_batch(
     errors: list[tuple[str, Exception]] = []
     if not sentences:
         return triples, errors
+
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         results = list(pool.map(lambda s: _extract_one(s, cfg, backend, retry), sentences))

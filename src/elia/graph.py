@@ -66,7 +66,7 @@ DEFAULT_TOLERANCE = 1e-9
 MAX_ITERATIONS = 1000
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     canonical_id: str
     display_name: str
@@ -77,7 +77,7 @@ class Node:
             raise ValueError("direct_emissions_kg must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     edge_id: str
     source: str
@@ -300,7 +300,7 @@ def one_hop_inheritance(graph: SupplyGraph, node_id: str) -> float:
     return propagate(graph, mode="one_hop").inherited(node_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeLiability:
     direct_kg: float = 0.0
     inherited_kg: float = 0.0

@@ -21,7 +21,6 @@ normalized form.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from collections import Counter
@@ -29,7 +28,7 @@ from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .core import read_ndjson
+from .core import read_ndjson, sha256
 from .errors import SchemaError
 
 CORPORATE_SUFFIXES = frozenset(
@@ -121,7 +120,7 @@ def display_name(raws: Collection[str], counts: Mapping[str, int]) -> str:
 
 
 def canonical_id_for(normalized_form: str) -> str:
-    return "c" + hashlib.sha256(normalized_form.encode("utf-8")).hexdigest()[:12]
+    return "c" + sha256(normalized_form.encode("utf-8")).hexdigest()[:12]
 
 
 def resolve(

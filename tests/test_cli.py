@@ -299,6 +299,22 @@ def test_malformed_report_json_exits_2(tmp_path, caplog, nodes):
     assert f"{report}: malformed report: 'nodes' must map node ids to objects" in caplog.text
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"nodes": {}}, "mode"),
+    ({"mode": "one_hop", "nodes": {}}, "residual"),
+    ({"mode": "one_hop", "residual": 0.0,
+      "nodes": {"a": {"direct_kg": 0.0, "transferred_kg": 0.0, "retained_kg": 0.0}}},
+     "inherited_kg"),
+], ids=["mode", "residual", "row-inherited_kg"])
+def test_report_json_missing_field_is_named_exits_2(tmp_path, caplog, doc, field):
+    graph = tmp_path / "graph.json"
+    write_graph(graph, ["a"], [])
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    assert run("query", "top", "--graph", graph, "--report", report) == 2
+    assert f"{report}: missing field {field!r}" in caplog.text
+
+
 def test_duplicate_store_row_names_file_and_line_exits_2(tmp_path, caplog):
     store = tmp_path / "store"
     assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0

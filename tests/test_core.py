@@ -5,12 +5,17 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import elia
 from elia.core import content_hash, no_gc, replace_file
+from elia.resolution import canonical_id_for
 
 
 @pytest.fixture
@@ -140,3 +145,45 @@ def test_content_hash_of_record_shaped_parts():
     parts = ("Bodega \"Ñandú\" S.A.", "C:\\ports\\", "", "2021-03-04", "WINE\x01", 12, "3.5", None)
     assert content_hash(*parts, prefix="r") == _json_dumps_hash(*parts, prefix="r")
     assert content_hash() == _json_dumps_hash()
+
+
+def _fresh_python(script: str) -> str:
+    """stdout of ``script`` run by a new interpreter without ``site``.
+
+    The test process has imported ``hashlib`` already (this module and
+    hypothesis do), so what elia loads shows only in a fresh process.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(elia.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout
+
+
+def test_cli_import_loads_neither_openssl_nor_the_thread_pool():
+    script = (
+        "import json, sys; import elia.cli; "
+        "print(json.dumps([m for m in ('_hashlib', 'hashlib', 'concurrent.futures')"
+        " if m in sys.modules]))"
+    )
+    assert json.loads(_fresh_python(script)) == []
+
+
+_HASH_PARTS = [["Bodega \"Ñandú\" S.A.", "2021-03-04", 12], [], ["\ud800", None, 3.5]]
+_FORMS = ["APEX STEELWORKS", "", "ÑANDÚ"]
+
+
+def test_hashlib_fallback_gives_the_same_ids():
+    script = (
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from elia.core import content_hash\n"
+        "from elia.resolution import canonical_id_for\n"
+        f"parts, forms = {_HASH_PARTS!r}, {_FORMS!r}\n"
+        "print(json.dumps(['hashlib' in sys.modules,"
+        " [content_hash(*p, prefix='r') for p in parts],"
+        " [canonical_id_for(f) for f in forms]]))\n"
+    )
+    used_hashlib, hashes, ids = json.loads(_fresh_python(script))
+    assert used_hashlib
+    assert hashes == [content_hash(*p, prefix="r") for p in _HASH_PARTS]
+    assert ids == [canonical_id_for(f) for f in _FORMS]
