@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 
 from elia.cli import _ingest_demo_inputs, fixtures_dir
+from elia.core import replace_file
 from elia.store import new_store
 from elia.transcripts import prefilter
 
@@ -47,9 +48,8 @@ def main() -> None:
             "prefiltered sentences without a scripted response:\n  " + "\n  ".join(unmatched)
         )
     out = fixtures_dir() / "mock_responses.ndjson"
-    with open(out, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    # Through a temporary file, so an interrupted run never leaves a short fixture.
+    replace_file(str(out), (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
     print(f"wrote {len(rows)} recorded responses -> {out}")
 
 

@@ -8,6 +8,7 @@ mandatory column) is fatal.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -77,7 +78,10 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_float(text: str) -> float:
-    return float(text.replace(",", "").replace(" ", ""))
+    value = float(text.replace(",", "").replace(" ", ""))
+    if not math.isfinite(value):  # a NaN or infinite weight is unparseable, not fatal
+        raise ValueError(text)
+    return value
 
 
 # ASCII digits only: ``strptime`` also reads other Unicode digits.

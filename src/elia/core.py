@@ -10,6 +10,10 @@ SHA-256 comes from the interpreter's builtin ``_sha2`` (CPython 3.12+) or
 ``_sha256`` (3.10, 3.11) module. ``hashlib`` would load OpenSSL, about
 3.7 MiB of resident memory in every CLI process, to hash ids of about 100
 bytes; it is the fallback for an interpreter built without either module.
+
+Amounts follow one rule, ``check_amount``: finite and ``>= 0`` (a bare
+``x < 0`` passes NaN). ``ShipmentRecord``, ``EmissionFactor``, ``graph.Node``,
+``graph.Edge`` and ``graph.FactorSampler``'s ``std`` apply it on construction.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import date
@@ -43,6 +48,11 @@ def content_hash(*parts: object, prefix: str = "", length: int = 16) -> str:
     """
     payload = "[" + ",".join([encode_basestring_ascii(str(p)) for p in parts]) + "]"
     return prefix + sha256(payload.encode("utf-8")).hexdigest()[:length]
+
+
+def check_amount(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -242,10 +252,8 @@ class ShipmentRecord:
     def __post_init__(self):
         if not self.product_desc or not self.product_desc.strip():
             raise ValueError("product_desc must be non-empty")
-        if self.quantity < 0:
-            raise ValueError("quantity must be >= 0")
-        if self.weight_kg < 0:
-            raise ValueError("weight_kg must be >= 0")
+        check_amount("quantity", self.quantity)
+        check_amount("weight_kg", self.weight_kg)
         if not self.record_id:
             self.record_id = content_hash(
                 self.shipper.raw_name,
@@ -344,8 +352,7 @@ class EmissionFactor:
     provenance: str = "manual"
 
     def __post_init__(self):
-        if self.per_kg_co2e < 0:
-            raise ValueError("per_kg_co2e must be >= 0")
+        check_amount("per_kg_co2e", self.per_kg_co2e)
         if self.provenance not in FACTOR_PROVENANCES:
             raise ValueError(f"unknown factor provenance: {self.provenance!r}")
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -246,11 +247,19 @@ def load_report_json(path: str) -> ELiabilityReport:
     if not isinstance(nodes, dict) or not all(isinstance(row, dict) for row in nodes.values()):
         raise StoreFormatError(f"{path}: malformed report: 'nodes' must map node ids to objects")
     try:
-        return ELiabilityReport.from_dict(doc)
+        report = ELiabilityReport.from_dict(doc)
+        # Finite only, not core.check_amount: rounding leaves negatives such as -4.7e-10.
+        if not math.isfinite(report.residual):
+            raise ValueError(f"residual must be finite, got {report.residual!r}")
+        for nid, row in report.nodes.items():
+            for name in ("direct_kg", "inherited_kg", "transferred_kg", "retained_kg"):
+                if not math.isfinite(value := getattr(row, name)):
+                    raise ValueError(f"node {nid!r}: {name} must be finite, got {value!r}")
     except KeyError as exc:
         raise StoreFormatError(f"{path}: missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise StoreFormatError(f"{path}: malformed report: {exc}") from exc
+    return report
 
 
 def save_report_json(report: ELiabilityReport, path: str) -> None:

@@ -47,6 +47,7 @@ standard.
 from __future__ import annotations
 
 import fnmatch
+import math
 import random
 import re
 from array import array
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Mapping
 
-from .core import EmissionFactor, json_number, read_ndjson
+from .core import EmissionFactor, check_amount, json_number, read_ndjson
 from .errors import CycleError, DuplicateIdError, NodeNotFoundError, SchemaError, UsageError
 from .resolution import display_name
 from .store import DatasetStore
@@ -73,8 +74,7 @@ class Node:
     direct_emissions_kg: float = 0.0
 
     def __post_init__(self):
-        if self.direct_emissions_kg < 0:
-            raise ValueError("direct_emissions_kg must be >= 0")
+        check_amount("direct_emissions_kg", self.direct_emissions_kg)
 
 
 @dataclass(slots=True)
@@ -88,8 +88,7 @@ class Edge:
     edge_liability_kg: float = field(init=False)
 
     def __post_init__(self):
-        if self.mass_kg < 0:
-            raise ValueError("mass_kg must be >= 0")
+        check_amount("mass_kg", self.mass_kg)
         self.edge_liability_kg = self.mass_kg * self.factor.per_kg_co2e
 
 
@@ -139,6 +138,11 @@ class FactorSampler:
     mean: float = 1.0
     std: float = 0.25
     seed: int = 0
+
+    def __post_init__(self):
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean!r}")
+        check_amount("std", self.std)
 
     def factor_for(self, item: str) -> EmissionFactor:
         rng = random.Random(f"{self.seed}\x1f{item}")

@@ -46,6 +46,21 @@ def test_negative_weight_rejected(tmp_path):
     assert "negative weight" in report.rejects[0][1]
 
 
+@pytest.mark.parametrize("weight", ["nan", "NaN", "inf", "Infinity", "-inf"])
+def test_non_finite_weight_rejected_and_other_rows_kept(tmp_path, weight):
+    path = tmp_path / "bol.csv"
+    path.write_text(
+        "Shipper Name,Consignee Name,Product Desc,Quantity,Weight\n"
+        "A CO,B LLC,WIDGETS,5,100\n"
+        f"A CO,B LLC,GADGETS,5,{weight}\n"
+        "A CO,B LLC,GIZMOS,5,7\n"
+    )
+    records, report = parse_bol_file(str(path))
+    assert [r.product_desc for r in records] == ["WIDGETS", "GIZMOS"]
+    assert report.accepted == 2
+    assert report.rejects == [(3, f"unparseable weight: {weight!r}")]
+
+
 def test_bad_rows_are_skipped_not_fatal(tmp_path):
     path = tmp_path / "bol.csv"
     path.write_text(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 
 import pytest
 from conftest import fixture_path, replace_file_failing_partway
@@ -78,6 +79,12 @@ def test_eval_bad_gold_file_exits_1(tmp_path):
 @pytest.mark.parametrize("bad_row, reason", [
     ('{"item_pattern": "WINE*"}', "missing field 'per_kg_co2e'"),
     ('{"item_pattern": "WINE*", "per_kg', "malformed factor row"),
+    pytest.param('{"item_pattern": "WINE*", "per_kg_co2e": NaN}',
+                 "malformed factor row: per_kg_co2e must be >= 0 and finite, got nan",
+                 id="nan-literal"),
+    pytest.param('{"item_pattern": "WINE*", "per_kg_co2e": "nan"}',
+                 "malformed factor row: per_kg_co2e must be >= 0 and finite, got nan",
+                 id="nan-string"),
 ])
 def test_build_malformed_factor_row_exits_1(tmp_path, caplog, bad_row, reason):
     store = tmp_path / "store"
@@ -262,6 +269,13 @@ def with_factor(factor):
                  ": edges[1]: unhashable type: 'list'", id="unhashable-provenance"),
     pytest.param(with_factor([1.0, "manual"]),
                  ": edges[1]: list indices must be integers", id="factor-not-an-object"),
+    pytest.param(graph_doc([("a", 0.0), ("b", math.nan)], []),
+                 ": nodes[1]: direct_emissions_kg must be >= 0 and finite, got nan",
+                 id="nan-direct-emissions"),
+    pytest.param(graph_doc([("a", 0.0), ("b", 0.0)], [("e1", "a", "b", math.inf)]),
+                 ": edges[0]: mass_kg must be >= 0 and finite, got inf", id="infinite-mass"),
+    pytest.param(with_factor({"per_kg_co2e": "nan", "provenance": "manual"}),
+                 ": edges[1]: per_kg_co2e must be >= 0 and finite, got nan", id="nan-string-factor"),
 ])
 def test_malformed_graph_json_names_path_and_index_exits_2(tmp_path, caplog, doc, reason):
     graph = tmp_path / "graph.json"
@@ -313,6 +327,51 @@ def test_report_json_missing_field_is_named_exits_2(tmp_path, caplog, doc, field
     report.write_text(json.dumps(doc))
     assert run("query", "top", "--graph", graph, "--report", report) == 2
     assert f"{report}: missing field {field!r}" in caplog.text
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["query", "top"], id="query"),
+    pytest.param(["export", "--format", "dot", "--with-report", "--out", "OUT"], id="export"),
+])
+@pytest.mark.parametrize("row, residual, reason", [
+    pytest.param({"retained_kg": "nan"}, 0.0, "node 'a': retained_kg must be finite, got nan",
+                 id="nan-string-row"),
+    pytest.param({"inherited_kg": -math.inf}, 0.0,
+                 "node 'a': inherited_kg must be finite, got -inf", id="infinite-row"),
+    pytest.param({}, math.inf, "residual must be finite, got inf", id="infinite-residual"),
+])
+def test_report_json_non_finite_number_exits_2(tmp_path, caplog, argv, row, residual, reason):
+    graph = tmp_path / "graph.json"
+    write_graph(graph, ["a", "b"], [("a", "b", 10.0, 1.0)])
+    report = tmp_path / "report.json"
+    numbers = {"direct_kg": 0.0, "inherited_kg": 0.0, "transferred_kg": 0.0, "retained_kg": -4.7e-10}
+    report.write_text(json.dumps({"mode": "one_hop", "residual": residual,
+                                  "nodes": {"a": {**numbers, **row}, "b": numbers}}))
+    out = tmp_path / "graph.dot"
+    argv = [out if arg == "OUT" else arg for arg in argv]
+    assert run(*argv, "--graph", graph, "--report", report) == 2
+    assert f"{report}: malformed report: {reason}" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--constant-factor", "nan"], "per_kg_co2e must be >= 0 and finite, got nan"),
+    (["--constant-factor", "inf"], "per_kg_co2e must be >= 0 and finite, got inf"),
+    (["--mean", "nan"], "mean must be finite, got nan"),
+    (["--mean", "inf"], "mean must be finite, got inf"),
+    (["--mean=-inf"], "mean must be finite, got -inf"),
+    (["--std", "nan"], "std must be >= 0 and finite, got nan"),
+    (["--std", "inf"], "std must be >= 0 and finite, got inf"),
+    (["--std", "-1"], "std must be >= 0 and finite, got -1.0"),
+], ids=["constant-nan", "constant-inf", "mean-nan", "mean-inf", "mean-minus-inf", "std-nan",
+        "std-inf", "std-negative"])
+def test_build_non_finite_or_negative_factor_flag_exits_1(tmp_path, caplog, flags, reason):
+    store = tmp_path / "store"
+    assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0
+    assert run("--store", store, "resolve") == 0
+    assert run("--store", store, "build", *flags) == 1
+    assert reason in caplog.text
+    assert not (store / "graph.json").exists()
 
 
 def test_duplicate_store_row_names_file_and_line_exits_2(tmp_path, caplog):
@@ -535,6 +594,10 @@ def test_demo_outputs_match_golden(tmp_path, capsys):
     pytest.param(["resolve"], "store/aliases.ndjson",
                  '{"raw": "A", "canonical_id": "c1"}\n{"raw": "B"}\n',
                  2, ":2: missing field 'canonical_id'", id="store-aliases-missing-field"),
+    pytest.param(["resolve"], "store/records.ndjson",
+                 '{"shipper": {"raw_name": "A"}, "consignee": {"raw_name": "B"}, '
+                 '"product_desc": "WINE", "quantity": 1, "weight_kg": NaN}\n',
+                 2, ":1: bad row ", id="store-records-nan-weight"),
 ])
 def test_malformed_ndjson_input_names_path_and_line(tmp_path, caplog, argv, target, content,
                                                      code, reason):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import elia
-from elia.core import content_hash, no_gc, replace_file
+from elia.core import check_amount, content_hash, no_gc, replace_file
 from elia.resolution import canonical_id_for
 
 
@@ -118,6 +118,20 @@ def test_replace_file_writes_a_pipe_in_place(tmp_path):
     assert got == [b"ab"]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -0.0, 5e-324, 1.5, 10**400])
+def test_check_amount_accepts_finite_non_negative_numbers(value):
+    check_amount("weight_kg", value)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (-1, "-1"), (-5e-324, "-5e-324"), (float("nan"), "nan"), (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+])
+def test_check_amount_rejects_negative_and_non_finite_numbers(value, shown):
+    with pytest.raises(ValueError, match=f"^weight_kg must be >= 0 and finite, got {shown}$"):
+        check_amount("weight_kg", value)
 
 
 def _json_dumps_hash(*parts, prefix="", length=16):

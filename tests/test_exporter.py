@@ -293,11 +293,12 @@ def _exported_text(graph, report, opts) -> str:
 
 def _odd_numbers_graph():
     g = SupplyGraph()
-    g.add_node("a", "A", math.inf)
+    g.add_node("a", "A", 5e-324)
     g.add_node("b", "B", 5)  # an int stays an int, as json writes it
-    g.add_edge("a", "b", "x", math.nan, EmissionFactor(-0.0, "manual"))
+    g.add_edge("a", "b", "x", 0.0, EmissionFactor(-0.0, "manual"))
     g.add_edge("b", "a", "y", 1e-7, EmissionFactor(1e16, "table"))
-    return g, ELiabilityReport("one_hop", 0, {"b": NodeLiability(direct_kg=5, retained_kg=math.inf)})
+    return g, ELiabilityReport("one_hop", 0, {"b": NodeLiability(direct_kg=5, inherited_kg=math.nan,
+                                                                 retained_kg=math.inf)})
 
 
 _REPORT_NUMBERS = st.floats() | st.integers(0, 10)
