@@ -19,18 +19,7 @@ from pathlib import Path
 from .bol import normalize_product_desc, parse_bol_file
 from .config import Config, load_config
 from .core import EmissionFactor, no_gc, replace_file
-from .errors import (
-    BackendError,
-    ConfigError,
-    CycleError,
-    DuplicateIdError,
-    ExtractionFormatError,
-    InputError,
-    SchemaError,
-    StoreFormatError,
-    StoreVersionError,
-    UsageError,
-)
+from .errors import ConfigError, EliaError, UsageError
 from .evalkit import load_triples_flat, metrics_to_dict, render_metrics_table, score
 from .exporter import (
     ExportOptions,
@@ -90,14 +79,14 @@ def _one_character(text: str) -> str:
     return text
 
 
-def _load_or_new_store(store_dir: str):
-    if os.path.isdir(store_dir):
-        return load_store(store_dir)
-    return new_store()
-
-
-def _print_counts(stage: str, counts: dict[str, int]) -> None:
-    print(f"{stage}: " + " ".join(f"{key}={value}" for key, value in counts.items()))
+def _store_stage(name: str, store_dir: str, stage, *stage_args, create: bool = False) -> int:
+    """Load the store (with ``create``, a new one if none exists), run ``stage``, save, print."""
+    # Module globals looked up per call, so a wrapper set on load_store or save_store is seen.
+    store = new_store() if create and not os.path.isdir(store_dir) else load_store(store_dir)
+    counts = stage(store, *stage_args)
+    save_store(store, store_dir)
+    print(f"{name}: " + " ".join(f"{key}={value}" for key, value in counts.items()))
+    return 0
 
 
 def _ingest_bol(store, path: str, delimiter: str = ",", normalize: bool = False) -> dict[str, int]:
@@ -144,21 +133,14 @@ def _ingest_demo_inputs(store) -> None:
 
 @no_gc()
 def cmd_ingest_bol(args, cfg: Config) -> int:
-    store = _load_or_new_store(args.store)
-    delimiter = "\t" if args.tab else args.delimiter
-    counts = _ingest_bol(store, args.path, delimiter, args.normalize_products)
-    save_store(store, args.store)
-    _print_counts("ingest-bol", counts)
-    return 0
+    return _store_stage("ingest-bol", args.store, _ingest_bol, args.path,
+                        "\t" if args.tab else args.delimiter, args.normalize_products, create=True)
 
 
 @no_gc()
 def cmd_ingest_transcripts(args, cfg: Config) -> int:
-    store = _load_or_new_store(args.store)
-    counts = _ingest_transcripts(store, args.paths, args.gazetteer)
-    save_store(store, args.store)
-    _print_counts("ingest-transcripts", counts)
-    return 0
+    return _store_stage("ingest-transcripts", args.store, _ingest_transcripts, args.paths,
+                        args.gazetteer, create=True)
 
 
 def _make_backend(name: str, fixture: str | None, cfg: Config, sentences):
@@ -205,11 +187,8 @@ def _extract(store, cfg: Config, backend: str, fixture: str | None = None,
 
 # Not no_gc(): live requests make garbage no offline run can bound; a recorded run spends ~3 ms in gc.
 def cmd_extract(args, cfg: Config) -> int:
-    store = load_store(args.store)
-    counts = _extract(store, cfg, args.backend, args.fixture, args.examples)
-    save_store(store, args.store)
-    _print_counts("extract", counts)
-    return 0
+    return _store_stage("extract", args.store, _extract, cfg, args.backend, args.fixture,
+                        args.examples)
 
 
 def _resolve(store, cfg: Config, threshold: float | None = None,
@@ -225,11 +204,7 @@ def _resolve(store, cfg: Config, threshold: float | None = None,
 
 @no_gc()
 def cmd_resolve(args, cfg: Config) -> int:
-    store = load_store(args.store)
-    counts = _resolve(store, cfg, args.threshold, args.overrides)
-    save_store(store, args.store)
-    _print_counts("resolve", counts)
-    return 0
+    return _store_stage("resolve", args.store, _resolve, cfg, args.threshold, args.overrides)
 
 
 def _factor_source(args, cfg: Config):
@@ -462,13 +437,12 @@ def main(argv: list[str] | None = None) -> int:
             log.setLevel(logging.DEBUG)
         cfg = load_config(args.config) if args.config else Config()
         return args.func(args, cfg)
-    except (UsageError, ConfigError, SchemaError, InputError, CycleError,
-            DuplicateIdError, ValueError) as exc:
+    except EliaError as exc:
+        log.error("%s", exc)
+        return exc.exit_code
+    except ValueError as exc:
         log.error("%s", exc)
         return 1
-    except (StoreFormatError, StoreVersionError, BackendError, ExtractionFormatError) as exc:
-        log.error("%s", exc)
-        return 2
     except OSError as exc:
         log.error("%s", exc)
         return 2

@@ -13,7 +13,8 @@ bytes; it is the fallback for an interpreter built without either module.
 
 Amounts follow one rule, ``check_amount``: finite and ``>= 0`` (a bare
 ``x < 0`` passes NaN). ``ShipmentRecord``, ``EmissionFactor``, ``graph.Node``,
-``graph.Edge`` and ``graph.FactorSampler``'s ``std`` apply it on construction.
+``graph.Edge`` (its mass, and its liability, which overflows to ``inf`` from
+two large amounts) and ``graph.FactorSampler``'s ``std`` apply it on construction.
 """
 
 from __future__ import annotations

@@ -1,10 +1,16 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each class carries the exit code the CLI returns for it, ``exit_code``: 1 by
+default, 2 for store-file, store-version, backend and completion-format errors.
+"""
 
 from __future__ import annotations
 
 
 class EliaError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 1
 
 
 class DuplicateIdError(EliaError):
@@ -14,9 +20,13 @@ class DuplicateIdError(EliaError):
 class StoreFormatError(EliaError):
     """A persisted dataset file is malformed; message names file and line."""
 
+    exit_code = 2
+
 
 class StoreVersionError(EliaError):
     """A persisted dataset was written with an unsupported format version."""
+
+    exit_code = 2
 
 
 class SchemaError(EliaError):
@@ -29,6 +39,8 @@ class ExtractionFormatError(EliaError):
     Carries the raw response text so failed responses can be audited.
     """
 
+    exit_code = 2
+
     def __init__(self, message: str, raw_text: str = ""):
         super().__init__(message)
         self.raw_text = raw_text
@@ -40,6 +52,8 @@ class BackendError(EliaError):
     ``retryable`` tells the batch driver whether another attempt makes sense
     (transport hiccups yes, deterministic mock misses no).
     """
+
+    exit_code = 2
 
     def __init__(self, message: str, retryable: bool = True):
         super().__init__(message)

@@ -90,6 +90,8 @@ class Edge:
     def __post_init__(self):
         check_amount("mass_kg", self.mass_kg)
         self.edge_liability_kg = self.mass_kg * self.factor.per_kg_co2e
+        if self.edge_liability_kg == math.inf:  # two checked amounts fail only by overflow
+            check_amount("edge_liability_kg", self.edge_liability_kg)
 
 
 @dataclass
@@ -132,7 +134,8 @@ class FactorSampler:
 
     ``factor_for`` derives a per-item stream from (seed, item), so the
     factor assigned to an item does not depend on the order items are
-    encountered in; the same seed always reproduces the same factors.
+    encountered in; the same seed always reproduces the same factors. A
+    negative draw is redrawn; after 1000 negative draws ``ValueError``.
     """
 
     mean: float = 1.0
@@ -146,14 +149,12 @@ class FactorSampler:
 
     def factor_for(self, item: str) -> EmissionFactor:
         rng = random.Random(f"{self.seed}\x1f{item}")
-        return EmissionFactor(per_kg_co2e=self._draw(rng), provenance="sampled")
-
-    def _draw(self, rng: random.Random) -> float:
         for _ in range(1000):
             value = rng.gauss(self.mean, self.std)
             if value >= 0.0:
-                return value
-        return 0.0  # essentially unreachable for sane (mean, std)
+                return EmissionFactor(per_kg_co2e=value, provenance="sampled")
+        raise ValueError(f"item {item!r}: 1000 draws from mean={self.mean!r} std={self.std!r} "
+                         "were all negative")
 
 
 def _glob_matcher(pattern: str) -> Callable[[str], re.Match | None]:
@@ -508,7 +509,8 @@ def propagate(
     ``tolerance``. A component that ends at or above ``tolerance`` raises
     CycleError (a closed cycle with no outflow never converges), so every
     returned report is converged: its residual is the largest final change
-    over all cyclic components, and 0 on an acyclic graph.
+    over all cyclic components, and 0 on an acyclic graph. A node whose pool
+    (direct + inherited) overflows to ``inf`` raises ``ValueError`` naming it.
     """
     if mode not in MODES:
         raise UsageError(f"unknown propagation mode: {mode!r} (expected one of {MODES})")
@@ -545,10 +547,14 @@ def propagate(
         for v in component:
             direct = nodes[v].direct_emissions_kg
             inherited = sum(edges[i].edge_liability_kg + share[i] for i in incoming[v])
+            pool = direct + inherited
+            if not pool < math.inf:
+                raise ValueError(f"node {ids[v]!r}: direct + inherited must be finite, "
+                                 f"got {pool!r}")
             if full and not is_cyclic:
-                _allocate(direct + inherited, outgoing[v], edges, share)
+                _allocate(pool, outgoing[v], edges, share)
             transferred = sum(share[i] for i in outgoing[v]) if full else 0.0
-            retained = direct + inherited - transferred
+            retained = pool - transferred
             rows[v] = NodeLiability(direct, inherited, transferred, retained)
     return ELiabilityReport(mode=mode, residual=residual, nodes=dict(zip(ids, rows)))
 

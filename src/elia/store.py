@@ -181,7 +181,7 @@ def _load_rows(path: str, name: str, cls, add) -> None:
     for lineno, d in read_ndjson(file_path, StoreFormatError):
         try:
             item = cls.from_dict(d)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StoreFormatError(f"{file_path}:{lineno}: bad row {d!r}: {exc}") from exc
         try:
             add(item)

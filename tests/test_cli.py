@@ -8,7 +8,7 @@ import math
 import pytest
 from conftest import fixture_path, replace_file_failing_partway
 
-from elia import cli, transcripts
+from elia import cli, errors, transcripts
 from elia.cli import main
 from elia.core import EmissionFactor
 from elia.exporter import ExportOptions, export, import_graph_json
@@ -249,6 +249,13 @@ def with_factor(factor):
     return doc
 
 
+def overflowing_edge():
+    """One edge a->b whose mass and factor are finite but whose product is not."""
+    doc = graph_doc([("a", 0.0), ("b", 0.0)], [("e1", "a", "b", 1e200)])
+    doc["edges"][0]["factor"]["per_kg_co2e"] = 1e200
+    return doc
+
+
 @pytest.mark.parametrize("doc, reason", [
     pytest.param(graph_doc([("a", 0.0), ("b", 0.0), ("c", 0.0)],
                            [("e1", "a", "b", 1.0), ("e2", "a", "b", 1.0), ("e2", "a", "c", 3.0)]),
@@ -276,6 +283,9 @@ def with_factor(factor):
                  ": edges[0]: mass_kg must be >= 0 and finite, got inf", id="infinite-mass"),
     pytest.param(with_factor({"per_kg_co2e": "nan", "provenance": "manual"}),
                  ": edges[1]: per_kg_co2e must be >= 0 and finite, got nan", id="nan-string-factor"),
+    pytest.param(overflowing_edge(),
+                 ": edges[0]: edge_liability_kg must be >= 0 and finite, got inf",
+                 id="overflowing-liability"),
 ])
 def test_malformed_graph_json_names_path_and_index_exits_2(tmp_path, caplog, doc, reason):
     graph = tmp_path / "graph.json"
@@ -283,6 +293,17 @@ def test_malformed_graph_json_names_path_and_index_exits_2(tmp_path, caplog, doc
     report = tmp_path / "report.json"
     assert run("propagate", "--graph", graph, "--out", report) == 2
     assert f"{graph}{reason}" in caplog.text
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("mode, mass", [("full_propagation", 1.0), ("one_hop", 1e308)])
+def test_propagate_overflowing_pool_names_the_node_exits_1(tmp_path, caplog, mode, mass):
+    graph, report = tmp_path / "graph.json", tmp_path / "report.json"
+    doc = graph_doc([("a", 1e308), ("b", 1e308), ("c", 0.0)],
+                    [("e1", "a", "c", mass), ("e2", "b", "c", mass)])
+    graph.write_text(json.dumps(doc))
+    assert run("propagate", "--mode", mode, "--graph", graph, "--out", report) == 1
+    assert "node 'c': direct + inherited must be finite, got inf" in caplog.text
     assert not report.exists()
 
 
@@ -363,8 +384,9 @@ def test_report_json_non_finite_number_exits_2(tmp_path, caplog, argv, row, resi
     (["--std", "nan"], "std must be >= 0 and finite, got nan"),
     (["--std", "inf"], "std must be >= 0 and finite, got inf"),
     (["--std", "-1"], "std must be >= 0 and finite, got -1.0"),
+    (["--mean=-100"], ": 1000 draws from mean=-100.0 std=0.25 were all negative"),
 ], ids=["constant-nan", "constant-inf", "mean-nan", "mean-inf", "mean-minus-inf", "std-nan",
-        "std-inf", "std-negative"])
+        "std-inf", "std-negative", "mean-negative"])
 def test_build_non_finite_or_negative_factor_flag_exits_1(tmp_path, caplog, flags, reason):
     store = tmp_path / "store"
     assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0
@@ -598,6 +620,13 @@ def test_demo_outputs_match_golden(tmp_path, capsys):
                  '{"shipper": {"raw_name": "A"}, "consignee": {"raw_name": "B"}, '
                  '"product_desc": "WINE", "quantity": 1, "weight_kg": NaN}\n',
                  2, ":1: bad row ", id="store-records-nan-weight"),
+    pytest.param(["resolve"], "store/records.ndjson",
+                 '{"shipper": {"raw_name": "A"}, "consignee": {"raw_name": "B"}, '
+                 '"product_desc": "WINE", "quantity": Infinity, "weight_kg": 1.0}\n',
+                 2, ":1: bad row ", id="store-records-infinite-quantity"),
+    pytest.param(["resolve"], "store/sentences.ndjson",
+                 '{"transcript_id": "t", "index": 1e400, "text": "x"}\n',
+                 2, ":1: bad row ", id="store-sentences-infinite-index"),
 ])
 def test_malformed_ndjson_input_names_path_and_line(tmp_path, caplog, argv, target, content,
                                                      code, reason):
@@ -685,3 +714,27 @@ def test_extract_runs_with_the_collector_on(tmp_path, gc_seen, capsys):
                "--fixture", fx / "mock_responses.ndjson") == 0
     assert seen == {"extract_batch": [True]}
     assert gc.isenabled()
+
+
+def elia_errors(cls=errors.EliaError):
+    """``cls`` and every class derived from it, depth first."""
+    return [cls] + [sub for child in cls.__subclasses__() for sub in elia_errors(child)]
+
+
+@pytest.mark.parametrize("error", elia_errors(), ids=lambda cls: cls.__name__)
+def test_main_returns_the_exit_code_the_error_class_carries(tmp_path, monkeypatch, caplog, error):
+    def failing_stage(*args, **kwargs):
+        raise error("stage failed")
+
+    monkeypatch.setattr(cli, "parse_bol_file", failing_stage)
+    store = tmp_path / "store"
+    assert run("--store", store, "ingest-bol", tmp_path / "bol.csv") == error.exit_code
+    assert "stage failed" in caplog.text
+    assert not store.exists()
+
+
+def test_exit_code_2_is_for_store_backend_and_completion_format_errors():
+    assert {cls.__name__ for cls in elia_errors() if cls.exit_code == 2} == {
+        "StoreFormatError", "StoreVersionError", "BackendError", "RateLimitError",
+        "ExtractionFormatError"}
+    assert {cls.exit_code for cls in elia_errors()} == {1, 2}

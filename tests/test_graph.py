@@ -211,6 +211,11 @@ def test_factor_sampler_deterministic_and_non_negative():
     assert a.factor_for("item 3").provenance == "sampled"
 
 
+def test_factor_sampler_raises_when_every_draw_is_negative():
+    with pytest.raises(ValueError, match=r"item 'X': 1000 draws from mean=-100 std=0.25"):
+        FactorSampler(mean=-100).factor_for("X")
+
+
 def test_factor_sampler_order_independent():
     s = FactorSampler(seed=5)
     first = s.factor_for("alpha")
