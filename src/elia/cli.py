@@ -12,6 +12,7 @@ import argparse
 import importlib.resources
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -243,9 +244,11 @@ def cmd_propagate(args, cfg: Config) -> int:
     graph = import_graph_json(graph_path)
     mode = args.mode or cfg.propagation_mode
     report = propagate(graph, mode=mode, on_cycle=args.on_cycle)
+    total_retained = sum(r.retained_kg for r in report.nodes.values())
+    if not math.isfinite(total_retained):  # finite rows can still sum past the float range
+        raise ValueError(f"total_retained_kg must be finite, got {total_retained!r}")
     out = args.out or os.path.join(args.store, REPORT_FILE)
     save_report_json(report, out)
-    total_retained = sum(r.retained_kg for r in report.nodes.values())
     print(
         f"propagate: mode={mode} nodes={len(report.nodes)} "
         f"total_retained_kg={total_retained:.6f} residual={report.residual:.3e} -> {out}"
@@ -351,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="elia", description=__doc__)
     parser.add_argument("--store", default="elia-store", help="dataset store directory")
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest-bol", help="parse a bill-of-lading file into the store")
@@ -433,8 +435,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if args.verbose:
-            log.setLevel(logging.DEBUG)
         cfg = load_config(args.config) if args.config else Config()
         return args.func(args, cfg)
     except EliaError as exc:

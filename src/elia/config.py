@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .core import utf8_error
+from .core import read_lines
 from .errors import ConfigError
 from .extraction import DEFAULT_API_KEY_ENV
 from .graph import MODES
@@ -44,15 +44,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
 def load_config(path: str) -> Config:
     values: dict[str, object] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as exc:
-        raise utf8_error(path, ConfigError) from exc
-    for lineno, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in read_lines(path, ConfigError):
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
         key, _, raw = text.partition("=")

@@ -15,6 +15,10 @@ Amounts follow one rule, ``check_amount``: finite and ``>= 0`` (a bare
 ``x < 0`` passes NaN). ``ShipmentRecord``, ``EmissionFactor``, ``graph.Node``,
 ``graph.Edge`` (its mass, and its liability, which overflows to ``inf`` from
 two large amounts) and ``graph.FactorSampler``'s ``std`` apply it on construction.
+
+Input files are read here: ``read_text`` (transcripts; ``read_lines`` splits
+gazetteer and config files, ``#`` starting a comment), ``read_json`` and
+``read_ndjson``. Each names the first line that is not UTF-8 (``utf8_error``).
 """
 
 from __future__ import annotations
@@ -146,6 +150,23 @@ def utf8_error(path: str, error: type[Exception]) -> Exception:
     return error(f"{path}: not UTF-8")
 
 
+def read_text(path: str, error: type[Exception]) -> str:
+    """The text of ``path``, the one reader of plain-text inputs; not UTF-8 raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path, error) from exc
+
+
+def read_lines(path: str, error: type[Exception]):
+    """Yield ``(lineno, stripped text)`` per non-blank line of ``path``; ``#`` starts a comment."""
+    for lineno, line in enumerate(read_text(path, error).split("\n"), start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
+
+
 def read_json(path: str, error: type[Exception], what: str) -> dict:
     """The JSON object in ``path``, the one reader of whole-file JSON documents.
 
@@ -198,10 +219,9 @@ def read_ndjson(path: str, error: type[Exception], what: str = "row",
 
 @dataclass(slots=True)
 class CompanyRef:
-    """A company name as it appeared in a source, plus resolution state."""
+    """A company name as it appeared in a source; the store's alias map resolves it."""
 
     raw_name: str
-    canonical_id: str | None = None
     role_hint: str = "unknown"
 
     def __post_init__(self):
@@ -216,19 +236,11 @@ class CompanyRef:
         return is_placeholder(self.raw_name)
 
     def to_dict(self) -> dict:
-        return {
-            "raw_name": self.raw_name,
-            "canonical_id": self.canonical_id,
-            "role_hint": self.role_hint,
-        }
+        return {"raw_name": self.raw_name, "role_hint": self.role_hint}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompanyRef":
-        return cls(
-            raw_name=d["raw_name"],
-            canonical_id=d.get("canonical_id"),
-            role_hint=d.get("role_hint", "unknown"),
-        )
+        return cls(raw_name=d["raw_name"], role_hint=d.get("role_hint", "unknown"))
 
 
 @dataclass(slots=True)
@@ -251,8 +263,8 @@ class ShipmentRecord:
     record_id: str = ""
 
     def __post_init__(self):
-        if not self.product_desc or not self.product_desc.strip():
-            raise ValueError("product_desc must be non-empty")
+        if not isinstance(self.product_desc, str) or not self.product_desc.strip():
+            raise ValueError(f"product_desc must be a non-empty string, got {self.product_desc!r}")
         check_amount("quantity", self.quantity)
         check_amount("weight_kg", self.weight_kg)
         if not self.record_id:
@@ -312,6 +324,8 @@ class TransactionTriple:
     triple_id: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.item, (str, type(None))):
+            raise TypeError(f"item must be a string or null, got {type(self.item).__name__}")
         if self.buyer is None and self.supplier is None and self.item is None:
             raise ValueError("at least one of buyer/supplier/item must be non-null")
         if not 0.0 <= self.confidence <= 1.0:

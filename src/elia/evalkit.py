@@ -9,7 +9,7 @@ never hallucinates a value for a null gold slot.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .core import CompanyRef, TransactionTriple, read_ndjson
@@ -145,18 +145,8 @@ def render_metrics_table(metrics: dict[str, FieldMetrics]) -> str:
 
 
 def metrics_to_dict(metrics: dict[str, FieldMetrics]) -> dict:
-    return {
-        f: {
-            "tp": m.tp,
-            "fp": m.fp,
-            "fn": m.fn,
-            "precision": m.precision,
-            "recall": m.recall,
-            "f1": m.f1,
-            "accuracy": m.accuracy,
-        }
-        for f, m in metrics.items()
-    }
+    """Each field's counts and scores, keyed as ``FieldMetrics`` names them."""
+    return {f: {k: v for k, v in asdict(m).items() if k != "field"} for f, m in metrics.items()}
 
 
 def load_triples_flat(path: str) -> list[TransactionTriple]:

@@ -32,7 +32,7 @@ from json.encoder import encode_basestring
 
 from .core import EmissionFactor, json_number, no_gc, read_json, replace_file
 from .errors import DuplicateIdError, NodeNotFoundError, StoreFormatError, UsageError
-from .graph import ELiabilityReport, SupplyGraph
+from .graph import MODES, ELiabilityReport, SupplyGraph
 
 GRAPH_JSON_VERSION = 1
 
@@ -248,6 +248,8 @@ def load_report_json(path: str) -> ELiabilityReport:
         raise StoreFormatError(f"{path}: malformed report: 'nodes' must map node ids to objects")
     try:
         report = ELiabilityReport.from_dict(doc)
+        if report.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {report.mode!r}")
         # Finite only, not core.check_amount: rounding leaves negatives such as -4.7e-10.
         if not math.isfinite(report.residual):
             raise ValueError(f"residual must be finite, got {report.residual!r}")

@@ -20,7 +20,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, ClassVar, Protocol
 
 from .core import CompanyRef, Sentence, TransactionTriple, read_ndjson
 from .errors import (
@@ -78,12 +78,16 @@ def parse_triple_line(response: str, source_id: str = "") -> TransactionTriple:
     )
 
 
+def _triple_line(buyer: str | None, supplier: str | None, item: str | None) -> str:
+    """The canonical one-line form, the one writer of it; ``None`` is written ``N/A``."""
+    buyer, supplier, item = ("N/A" if v is None else v for v in (buyer, supplier, item))
+    return f"Buyer: {buyer}, Supplier: {supplier}, Item: {item}"
+
+
 def format_triple_line(triple: TransactionTriple) -> str:
     """Serialize a triple back to the canonical one-line form."""
-    buyer = triple.buyer.raw_name if triple.buyer else "N/A"
-    supplier = triple.supplier.raw_name if triple.supplier else "N/A"
-    item = triple.item if triple.item is not None else "N/A"
-    return f"Buyer: {buyer}, Supplier: {supplier}, Item: {item}"
+    return _triple_line(triple.buyer and triple.buyer.raw_name,
+                        triple.supplier and triple.supplier.raw_name, triple.item)
 
 
 @dataclass
@@ -104,7 +108,7 @@ class PromptConfig:
     examples: list[FewShotExample]
     instruction: str = DEFAULT_INSTRUCTION
     temperature: float = 0.1
-    max_tokens: int = 64
+    max_tokens: ClassVar[int] = 64
     model_name: str = "text-davinci-003"
 
     def __post_init__(self):
@@ -112,8 +116,6 @@ class PromptConfig:
             raise ValueError("at least one few-shot example is required")
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError("temperature must be in [0, 2]")
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
 
 
 def load_examples(path: str) -> list[FewShotExample]:
@@ -128,6 +130,9 @@ def load_examples(path: str) -> list[FewShotExample]:
     return examples
 
 
+_OUTPUT_SLOT = "\nOutput:"
+
+
 def build_prompt(cfg: PromptConfig, target_sentence: str) -> str:
     """Assemble the few-shot prompt; byte-deterministic for fixed inputs."""
     parts = []
@@ -135,22 +140,17 @@ def build_prompt(cfg: PromptConfig, target_sentence: str) -> str:
         parts.append(cfg.instruction + "\n\n")
     for ex in cfg.examples:
         parts.append(f"Input: {ex.input}\nOutput: {ex.output}\n")
-    parts.append(f"Input: {target_sentence}\nOutput:")
+    parts.append(f"Input: {target_sentence}{_OUTPUT_SLOT}")
     return "".join(parts)
 
 
-_TARGET_PATTERN = re.compile(r"Input: (.*)\nOutput:$", re.DOTALL)
-
-
-def target_sentence_of(prompt: str) -> str:
-    """Recover the target sentence from a prompt built by build_prompt."""
-    tail = prompt.rfind("Input: ")
-    if tail < 0:
-        raise BackendError(f"prompt has no target Input block: {prompt[-80:]!r}", retryable=False)
-    m = _TARGET_PATTERN.match(prompt[tail:])
-    if not m:
-        raise BackendError("prompt does not end in an open Output slot", retryable=False)
-    return m.group(1)
+def target_sentence_of(prompt: str, cfg: PromptConfig) -> str:
+    """The target sentence, whatever it contains, of a prompt ``build_prompt`` made from ``cfg``."""
+    head = build_prompt(cfg, "")[: -len(_OUTPUT_SLOT)]
+    target = prompt[len(head) :]
+    if not (prompt.startswith(head) and target.endswith(_OUTPUT_SLOT)):
+        raise BackendError(f"prompt not built from this config: {prompt[-80:]!r}", retryable=False)
+    return target[: -len(_OUTPUT_SLOT)]
 
 
 class CompletionBackend(Protocol):
@@ -240,7 +240,7 @@ class RecordedBackend:
         return cls(responses)
 
     def complete(self, prompt: str, cfg: PromptConfig) -> str:
-        target = target_sentence_of(prompt)
+        target = target_sentence_of(prompt, cfg)
         if target not in self._responses:
             raise BackendError(f"no recorded response for: {target!r}", retryable=False)
         return self._responses[target]
@@ -268,22 +268,17 @@ class RuleBasedBackend:
         self.gazetteer = gazetteer or Gazetteer(entries=set())
 
     def complete(self, prompt: str, cfg: PromptConfig) -> str:
-        sentence = target_sentence_of(prompt)
+        sentence = target_sentence_of(prompt, cfg)
         for pattern in _RULE_PATTERNS:
             m = pattern.match(sentence)
             if m:
-                parts = m.groupdict()
-                return (
-                    f"Buyer: {parts.get('buyer', 'N/A')}, "
-                    f"Supplier: {parts.get('supplier', 'N/A')}, "
-                    f"Item: {parts.get('item', 'N/A')}"
-                )
+                return _triple_line(**m.groupdict())
         probe = detect_mentions(Sentence(transcript_id="probe", index=0, text=sentence), self.gazetteer)
         surfaces = [m.surface for m in probe.mentions]
         if len(surfaces) >= 2:
-            return f"Buyer: {surfaces[0]}, Supplier: {surfaces[1]}, Item: N/A"
+            return _triple_line(surfaces[0], surfaces[1], None)
         if len(surfaces) == 1:
-            return f"Buyer: N/A, Supplier: {surfaces[0]}, Item: N/A"
+            return _triple_line(None, surfaces[0], None)
         return "no transaction found"
 
 

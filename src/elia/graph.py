@@ -273,7 +273,10 @@ def build_graph(
             continue
         source = node_for(rec.shipper.raw_name)
         target = node_for(rec.consignee.raw_name)
-        graph.add_edge(source, target, rec.product_desc, rec.weight_kg, factor)
+        try:
+            graph.add_edge(source, target, rec.product_desc, rec.weight_kg, factor)
+        except ValueError as exc:
+            raise ValueError(f"record {rec.record_id} item {rec.product_desc!r}: {exc}") from exc
         report.edges_from_records += 1
 
     for triple in store.triples.values():
@@ -528,13 +531,17 @@ def propagate(
 
     nodes = list(graph.nodes.values())
     edges = graph.edges
+    out_mass = [sum(edges[i].mass_kg for i in out) for out in outgoing] if full else []
+    if math.inf in out_mass:  # each share would be pool * (mass / inf) = 0.0
+        node_id = ids[out_mass.index(math.inf)]
+        raise ValueError(f"node {node_id!r}: outgoing mass must be finite, got inf")
     share = array("d", bytes(8 * len(edges)))
     rows: list[NodeLiability | None] = [None] * len(nodes)
     residual = 0.0
     for component, is_cyclic in zip(components, cyclic):
         if is_cyclic:
             change = _iterate_component(nodes, edges, component, tail, incoming, outgoing,
-                                        share, tolerance)
+                                        out_mass, share, tolerance)
             if not change < tolerance:
                 raise CycleError(
                     f"propagation did not converge: residual {change:.3e} is not below "
@@ -552,26 +559,26 @@ def propagate(
                 raise ValueError(f"node {ids[v]!r}: direct + inherited must be finite, "
                                  f"got {pool!r}")
             if full and not is_cyclic:
-                _allocate(pool, outgoing[v], edges, share)
+                _allocate(pool, outgoing[v], out_mass[v], edges, share)
             transferred = sum(share[i] for i in outgoing[v]) if full else 0.0
             retained = pool - transferred
             rows[v] = NodeLiability(direct, inherited, transferred, retained)
     return ELiabilityReport(mode=mode, residual=residual, nodes=dict(zip(ids, rows)))
 
 
-def _allocate(pool: float, out: list[int], edges: list[Edge], share: array) -> None:
-    """Split ``pool`` over the edge positions ``out`` in proportion to mass.
+def _allocate(pool: float, out: list[int], out_mass: float, edges: list[Edge],
+              share: array) -> None:
+    """Split ``pool`` over the edge positions ``out`` (total mass ``out_mass``) by mass.
 
     Without outgoing mass the shares stay 0.0, as every share starts.
     """
-    out_mass = sum(edges[i].mass_kg for i in out)
     if out_mass <= 0.0:
         return
     for i in out:
         share[i] = pool * (edges[i].mass_kg / out_mass)
 
 
-def _iterate_component(nodes, edges, component, tail, incoming, outgoing, share,
+def _iterate_component(nodes, edges, component, tail, incoming, outgoing, out_mass, share,
                        tolerance) -> float:
     """Jacobi iteration of the pool equations inside one cyclic component.
 
@@ -583,7 +590,6 @@ def _iterate_component(nodes, edges, component, tail, incoming, outgoing, share,
     final change is returned as the component's residual.
     """
     local = {v: k for k, v in enumerate(component)}
-    out_mass = {v: sum(edges[i].mass_kg for i in outgoing[v]) for v in component}
     base: list[float] = []
     inner: list[list[tuple[int, float]]] = []
     for v in component:
@@ -611,7 +617,7 @@ def _iterate_component(nodes, edges, component, tail, incoming, outgoing, share,
         if residual < tolerance:
             break
     for v, pool in zip(component, pools):
-        _allocate(pool, outgoing[v], edges, share)
+        _allocate(pool, outgoing[v], out_mass[v], edges, share)
     return residual
 
 

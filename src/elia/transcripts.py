@@ -9,8 +9,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
-from .core import Mention, Sentence, utf8_error
+from .core import Mention, Sentence, read_lines, read_text
 from .errors import InputError
 from .resolution import CORPORATE_SUFFIXES
 from .store import DatasetStore
@@ -65,12 +66,10 @@ class Gazetteer:
     """
 
     entries: frozenset[str] = frozenset()
-    suffixes: frozenset[str] = CORPORATE_SUFFIXES
+    suffixes: ClassVar[frozenset[str]] = CORPORATE_SUFFIXES
     _matchers: tuple[_LengthMatcher, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.suffixes:
-            raise ValueError("suffix set must be non-empty")
         entries = frozenset(e.strip() for e in self.entries if e and e.strip())
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_matchers", _compile_matchers(entries))
@@ -78,12 +77,7 @@ class Gazetteer:
 
 def read_gazetteer_names(path: str) -> set[str]:
     """Read a gazetteer file: one company name per line, # starts a comment."""
-    entries = set()
-    for line in _read_text(path).splitlines():
-        name = line.split("#", 1)[0].strip()
-        if name:
-            entries.add(name)
-    return entries
+    return {name for _, name in read_lines(path, InputError)}
 
 
 def gazetteer_from_store(store: DatasetStore, extra: tuple[str, ...] = ()) -> Gazetteer:
@@ -230,11 +224,4 @@ def prefilter(sentences: list[Sentence]) -> list[Sentence]:
 
 def load_transcript(path: str) -> tuple[str, str]:
     """Read one transcript file; the filename stem is the transcript id."""
-    return Path(path).stem, _read_text(path)
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise utf8_error(path, InputError) from exc
+    return Path(path).stem, read_text(path, InputError)

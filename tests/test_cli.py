@@ -27,6 +27,39 @@ def test_ingest_bol_missing_file_exits_2_without_store(tmp_path, capsys):
     assert not store.exists()
 
 
+def test_ingest_bol_warns_once_per_rejected_row(tmp_path, capsys, caplog):
+    bol = tmp_path / "bol.csv"
+    bol.write_text("Shipper Name,Consignee Name,Product Desc,Quantity,Weight\n"
+                   "A,B,WINE,1,10\nA,B,WINE,1,heavy\nA,,WINE,1,5\n")
+    assert run("--store", tmp_path / "store", "ingest-bol", bol) == 0
+    out = capsys.readouterr().out
+    assert out == "ingest-bol: accepted=1 rejected=2 added=1 skipped_existing=0\n"
+    assert "line 3 rejected: unparseable weight: 'heavy'" in caplog.text
+    assert "line 4 rejected: empty consignee name" in caplog.text
+
+
+def test_ingest_bol_tab_reads_tab_separated_rows(tmp_path, capsys):
+    tsv, store = tmp_path / "bol.tsv", tmp_path / "store"
+    tsv.write_text("Shipper Name\tConsignee Name\tProduct Desc\tQuantity\tWeight\n"
+                   "A, Inc\tB\tWINE, RED\t1\t10\n")
+    assert run("--store", store, "ingest-bol", tsv, "--tab") == 0
+    out = capsys.readouterr().out
+    assert out == "ingest-bol: accepted=1 rejected=0 added=1 skipped_existing=0\n"
+    [record] = load_store(str(store)).records.values()
+    assert (record.shipper.raw_name, record.product_desc) == ("A, Inc", "WINE, RED")
+
+
+def test_resolve_applies_a_valid_overrides_file(tmp_path, capsys):
+    store, overrides = tmp_path / "store", tmp_path / "overrides.ndjson"
+    assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0
+    overrides.write_text('{"raw": "PELTER WINERY LTD", "canonical": "ISRAELI WINE DIRECT LLC"}\n')
+    capsys.readouterr()
+    assert run("--store", store, "resolve", "--overrides", overrides) == 0
+    assert capsys.readouterr().out == "resolve: names=6 entities=5\n"
+    aliases = load_store(str(store)).alias_map
+    assert aliases["PELTER WINERY LTD"] == aliases["ISRAELI WINE DIRECT LLC"]
+
+
 def test_ingest_bol_and_idempotent_rerun(tmp_path, capsys):
     store = tmp_path / "store"
     code = run("--store", store, "ingest-bol", fixture_path("bol_sample.csv"))
@@ -194,6 +227,16 @@ def test_query_without_its_node_or_prefix_exits_1(tmp_path, caplog, selector, mi
     assert f"{selector} requires a {missing}" in caplog.text
 
 
+def test_query_breakdown_by_canonical_id(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    write_graph(graph, ["a", "b", "c"],
+                [("a", "c", 10.0, 1.0), ("b", "c", 2.0, 3.0), ("a", "c", 1.0, 1.0)])
+    assert run("query", "breakdown", "--node", "c", "--graph", graph,
+               "--report", tmp_path / "none.json") == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split() for row in rows] == [["a", "A", "11.000"], ["b", "B", "6.000"]]
+
+
 def test_query_top_with_a_node_naming_no_node_exits_1(tmp_path, caplog):
     graph, report = tmp_path / "graph.json", tmp_path / "report.json"
     write_graph(graph, ["a", "b"], [("a", "b", 10.0, 1.0)])
@@ -307,6 +350,34 @@ def test_propagate_overflowing_pool_names_the_node_exits_1(tmp_path, caplog, mod
     assert not report.exists()
 
 
+@pytest.mark.parametrize("flags, back_edges", [
+    pytest.param([], [], id="acyclic"),
+    pytest.param(["--on-cycle", "iterate"], [("e3", "b", "a", 1.0)], id="cyclic"),
+])
+def test_propagate_overflowing_outgoing_mass_names_the_node_exits_1(tmp_path, caplog, flags,
+                                                                   back_edges):
+    graph, report = tmp_path / "graph.json", tmp_path / "report.json"
+    doc = graph_doc([("a", 5.0), ("b", 0.0), ("c", 0.0)],
+                    [("e1", "a", "b", 1e308), ("e2", "a", "c", 1e308), *back_edges])
+    for edge in doc["edges"]:
+        edge["factor"]["per_kg_co2e"] = 0.0
+    graph.write_text(json.dumps(doc))
+    assert run("propagate", *flags, "--graph", graph, "--out", report) == 1
+    assert "node 'a': outgoing mass must be finite, got inf" in caplog.text
+    assert not report.exists()
+
+
+def test_propagate_overflowing_total_retained_exits_1_without_report(tmp_path, caplog, capsys):
+    graph, report = tmp_path / "graph.json", tmp_path / "report.json"
+    doc = graph_doc([("a", 1e308), ("b", 1e308), ("c", 0.0)],
+                    [("e1", "a", "c", 1.0), ("e2", "b", "c", 1.0)])
+    graph.write_text(json.dumps(doc))
+    assert run("propagate", "--mode", "one_hop", "--graph", graph, "--out", report) == 1
+    assert "total_retained_kg must be finite, got inf" in caplog.text
+    assert capsys.readouterr().out == ""
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("fmt", ["gexf", "dot"])
 @pytest.mark.parametrize("section, index, key, value", [
     pytest.param("nodes", 1, "display_name", 7, id="display-name"),
@@ -348,6 +419,17 @@ def test_report_json_missing_field_is_named_exits_2(tmp_path, caplog, doc, field
     report.write_text(json.dumps(doc))
     assert run("query", "top", "--graph", graph, "--report", report) == 2
     assert f"{report}: missing field {field!r}" in caplog.text
+
+
+def test_report_json_unknown_mode_exits_2(tmp_path, caplog):
+    graph, report, out = tmp_path / "graph.json", tmp_path / "report.json", tmp_path / "out.json"
+    write_graph(graph, ["a"], [])
+    report.write_text(json.dumps({"mode": 5, "residual": 0.0, "nodes": {}}))
+    assert run("export", "--format", "graph-json", "--with-report", "--graph", graph,
+               "--report", report, "--out", out) == 2
+    assert (f"{report}: malformed report: mode must be one of ('one_hop', 'full_propagation'), "
+            "got 5") in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -393,6 +475,17 @@ def test_build_non_finite_or_negative_factor_flag_exits_1(tmp_path, caplog, flag
     assert run("--store", store, "resolve") == 0
     assert run("--store", store, "build", *flags) == 1
     assert reason in caplog.text
+    assert not (store / "graph.json").exists()
+
+
+def test_build_overflowing_edge_names_record_and_item_exits_1(tmp_path, caplog):
+    store = tmp_path / "store"
+    assert run("--store", store, "ingest-bol", fixture_path("bol_sample.csv")) == 0
+    assert run("--store", store, "resolve") == 0
+    record = next(iter(load_store(str(store)).records.values()))
+    assert run("--store", store, "build", "--constant-factor", "1e306") == 1
+    assert (f"record {record.record_id} item {record.product_desc!r}: "
+            "edge_liability_kg must be >= 0 and finite, got inf") in caplog.text
     assert not (store / "graph.json").exists()
 
 
@@ -572,9 +665,9 @@ DEMO_GOLDEN = {
     "graph.json": "57ffee9f895b8038407ed5ad50e6ae9b3c38356f8893386b24ed9cb118f061ae",
     "graph.gexf": "6c753a0b3c5497c4d1921329548e583baa580259c4eac71080526a7969e9e947",
     "report.json": "e309469902eb5f5ab50c2606ec2daf88387be97aa0a98f03955d0d7abcb7e771",
-    "store/records.ndjson": "1f3dcaad959334f02e51e39f45653f6f3ae3e1b5db2d1458d8f88ff29255f295",
+    "store/records.ndjson": "b68d23a3c2a7bf610959b83cc63194ee9023cd971e1914eaabe54c6e42d126e7",
     "store/sentences.ndjson": "458adc592cfddd27c3c1cb09fb5a29b78aaef7f3bb83945035e672e88d47a944",
-    "store/triples.ndjson": "ac519a1c987753a5d421a97446f59c8499da2741f6b3a2b6b549009437f2c456",
+    "store/triples.ndjson": "4d4e5c1056c8ac907fc3a7c068d661cb0ee5f0b42067299ccdfdaf1e336621eb",
     "store/aliases.ndjson": "083d6cec5d210ac0ebd2b2baaf42429621494f607a488761729c4611f34f1c10",
 }
 
@@ -627,6 +720,18 @@ def test_demo_outputs_match_golden(tmp_path, capsys):
     pytest.param(["resolve"], "store/sentences.ndjson",
                  '{"transcript_id": "t", "index": 1e400, "text": "x"}\n',
                  2, ":1: bad row ", id="store-sentences-infinite-index"),
+    pytest.param(["resolve"], "store/records.ndjson",
+                 '{"shipper": {"raw_name": "A"}, "consignee": {"raw_name": "B"}, '
+                 '"product_desc": 5, "quantity": 1, "weight_kg": 1.0}\n',
+                 2, ":1: bad row ", id="store-records-product-not-string"),
+    pytest.param(["build"], "store/triples.ndjson",
+                 '{"source_id": "s1", "buyer": {"raw_name": "A"}, '
+                 '"supplier": {"raw_name": "B"}, "item": 5}\n',
+                 2, ":1: bad row ", id="store-triples-item-not-string"),
+    pytest.param(["eval", "--pred", "BAD", "--gold", "BAD"], "triples.ndjson",
+                 '{"source_id": "s1", "item": 5}\n',
+                 1, ":1: malformed triple row: item must be a string or null, got int",
+                 id="eval-item-not-string"),
 ])
 def test_malformed_ndjson_input_names_path_and_line(tmp_path, caplog, argv, target, content,
                                                      code, reason):

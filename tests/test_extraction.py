@@ -219,6 +219,17 @@ def test_extract_batch_count_invariant_with_missing_fixture():
     assert isinstance(errors[0][1], BackendError)
 
 
+def test_recorded_backend_sees_a_target_that_contains_an_input_marker():
+    text = "Input: costs rose as Acme buys steel from Beta Corp."
+    sentences = make_sentences(text)
+    backend = RecordedBackend({text: "Buyer: Acme, Supplier: Beta Corp, Item: steel"})
+    triples, errors = extract_batch(sentences, cfg_with([one_example()]), backend)
+    assert errors == []
+    assert [(t.buyer.raw_name, t.supplier.raw_name, t.item) for t in triples] == [
+        ("Acme", "Beta Corp", "steel")
+    ]
+
+
 def test_extract_batch_preserves_input_order_with_concurrency():
     texts = [f"sentence number {i}" for i in range(16)]
     sentences = make_sentences(*texts)
