@@ -16,6 +16,12 @@ Amounts follow one rule, ``check_amount``: finite and ``>= 0`` (a bare
 ``graph.Edge`` (its mass, and its liability, which overflows to ``inf`` from
 two large amounts) and ``graph.FactorSampler``'s ``std`` apply it on construction.
 
+Store rows leave out what ``from_dict`` restores: a party's ``role_hint``
+equal to its slot (``shipper``, ``consignee``, ``buyer``, ``supplier``), and a
+record's ``shipper_address``, ``consignee_address`` or ``arrival_date`` that is
+``None``. Rows that carry them, as older stores do, load unchanged. An older
+elia reads an omitted ``role_hint`` as ``"unknown"``, which nothing here reads.
+
 Input files are read here: ``read_text`` (transcripts; ``read_lines`` splits
 gazetteer and config files, ``#`` starting a comment), ``read_json`` and
 ``read_ndjson``. Each names the first line that is not UTF-8 (``utf8_error``).
@@ -225,7 +231,10 @@ class CompanyRef:
     role_hint: str = "unknown"
 
     def __post_init__(self):
-        if not isinstance(self.raw_name, str) or not self.raw_name.strip():
+        if not isinstance(self.raw_name, str):
+            raise TypeError(f"CompanyRef.raw_name must be a string, "
+                            f"got {type(self.raw_name).__name__}")
+        if not self.raw_name.strip():
             raise ValueError("CompanyRef.raw_name must be non-empty")
         self.raw_name = self.raw_name.strip()
         if self.role_hint not in ROLES:
@@ -235,12 +244,15 @@ class CompanyRef:
     def placeholder(self) -> bool:
         return is_placeholder(self.raw_name)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, slot: str) -> dict:
+        """The party in row slot ``slot``, leaving out a ``role_hint`` equal to ``slot``."""
+        if self.role_hint == slot:
+            return {"raw_name": self.raw_name}
         return {"raw_name": self.raw_name, "role_hint": self.role_hint}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CompanyRef":
-        return cls(raw_name=d["raw_name"], role_hint=d.get("role_hint", "unknown"))
+    def from_dict(cls, d: dict, slot: str) -> "CompanyRef":
+        return cls(raw_name=d["raw_name"], role_hint=d.get("role_hint", slot))
 
 
 @dataclass(slots=True)
@@ -281,23 +293,25 @@ class ShipmentRecord:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "shipper": self.shipper.to_dict(),
-            "shipper_address": self.shipper_address,
-            "consignee": self.consignee.to_dict(),
-            "consignee_address": self.consignee_address,
-            "arrival_date": self.arrival_date.isoformat() if self.arrival_date else None,
-            "product_desc": self.product_desc,
-            "quantity": self.quantity,
-            "weight_kg": self.weight_kg,
-        }
+        """The row, without an address or ``arrival_date`` that is ``None``."""
+        row = {"record_id": self.record_id, "shipper": self.shipper.to_dict("shipper")}
+        if self.shipper_address is not None:
+            row["shipper_address"] = self.shipper_address
+        row["consignee"] = self.consignee.to_dict("consignee")
+        if self.consignee_address is not None:
+            row["consignee_address"] = self.consignee_address
+        if self.arrival_date is not None:
+            row["arrival_date"] = self.arrival_date.isoformat()
+        row["product_desc"] = self.product_desc
+        row["quantity"] = self.quantity
+        row["weight_kg"] = self.weight_kg
+        return row
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShipmentRecord":
         return cls(
-            shipper=CompanyRef.from_dict(d["shipper"]),
-            consignee=CompanyRef.from_dict(d["consignee"]),
+            shipper=CompanyRef.from_dict(d["shipper"], "shipper"),
+            consignee=CompanyRef.from_dict(d["consignee"], "consignee"),
             product_desc=d["product_desc"],
             quantity=int(d["quantity"]),
             weight_kg=float(d["weight_kg"]),
@@ -341,8 +355,8 @@ class TransactionTriple:
         return {
             "triple_id": self.triple_id,
             "source_id": self.source_id,
-            "buyer": self.buyer.to_dict() if self.buyer else None,
-            "supplier": self.supplier.to_dict() if self.supplier else None,
+            "buyer": self.buyer.to_dict("buyer") if self.buyer else None,
+            "supplier": self.supplier.to_dict("supplier") if self.supplier else None,
             "item": self.item,
             "confidence": self.confidence,
         }
@@ -350,8 +364,8 @@ class TransactionTriple:
     @classmethod
     def from_dict(cls, d: dict) -> "TransactionTriple":
         return cls(
-            buyer=CompanyRef.from_dict(d["buyer"]) if d.get("buyer") else None,
-            supplier=CompanyRef.from_dict(d["supplier"]) if d.get("supplier") else None,
+            buyer=CompanyRef.from_dict(d["buyer"], "buyer") if d.get("buyer") else None,
+            supplier=CompanyRef.from_dict(d["supplier"], "supplier") if d.get("supplier") else None,
             item=d.get("item"),
             source_id=d["source_id"],
             confidence=float(d.get("confidence", 1.0)),
@@ -405,6 +419,10 @@ class Sentence:
     def __post_init__(self):
         if self.index < 0:
             raise ValueError("sentence index must be >= 0")
+        for name, value in (("transcript_id", self.transcript_id), ("text", self.text),
+                            ("id", self.id)):
+            if not isinstance(value, str):
+                raise TypeError(f"Sentence.{name} must be a string, got {type(value).__name__}")
         if not self.id:
             self.id = content_hash(self.transcript_id, self.index, self.text, prefix="s")
         self._check_spans()

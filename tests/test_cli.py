@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import shutil
 
 import pytest
 from conftest import fixture_path, replace_file_failing_partway
@@ -665,9 +666,9 @@ DEMO_GOLDEN = {
     "graph.json": "57ffee9f895b8038407ed5ad50e6ae9b3c38356f8893386b24ed9cb118f061ae",
     "graph.gexf": "6c753a0b3c5497c4d1921329548e583baa580259c4eac71080526a7969e9e947",
     "report.json": "e309469902eb5f5ab50c2606ec2daf88387be97aa0a98f03955d0d7abcb7e771",
-    "store/records.ndjson": "b68d23a3c2a7bf610959b83cc63194ee9023cd971e1914eaabe54c6e42d126e7",
+    "store/records.ndjson": "b22764ff6e8014c9ca5e44371a21c037a2beb5fe08f37b408f6b21aa5802c94b",
     "store/sentences.ndjson": "458adc592cfddd27c3c1cb09fb5a29b78aaef7f3bb83945035e672e88d47a944",
-    "store/triples.ndjson": "4d4e5c1056c8ac907fc3a7c068d661cb0ee5f0b42067299ccdfdaf1e336621eb",
+    "store/triples.ndjson": "defb76c74c66d7405328b50c8858ed5ecff1f55bb74441ec18477beeaa48db8d",
     "store/aliases.ndjson": "083d6cec5d210ac0ebd2b2baaf42429621494f607a488761729c4611f34f1c10",
 }
 
@@ -681,6 +682,51 @@ def test_demo_outputs_match_golden(tmp_path, capsys):
         if name != "stdout":
             digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
     assert digests == DEMO_GOLDEN
+
+
+# The demo's two party tables in the row shape written before a party's
+# role_hint equal to its slot and each null address or date were left out:
+# per table, its keys in their old order and the sha256 of the old file.
+OLD_SHAPE_DEMO = {
+    "records.ndjson": (("record_id", "shipper", "shipper_address", "consignee",
+                        "consignee_address", "arrival_date", "product_desc", "quantity",
+                        "weight_kg"),
+                       "b68d23a3c2a7bf610959b83cc63194ee9023cd971e1914eaabe54c6e42d126e7"),
+    "triples.ndjson": (("triple_id", "source_id", "buyer", "supplier", "item", "confidence"),
+                       "4d4e5c1056c8ac907fc3a7c068d661cb0ee5f0b42067299ccdfdaf1e336621eb"),
+}
+
+
+def _old_shape(row: dict, keys: tuple) -> dict:
+    """``row`` with every omitted key put back: each party's role_hint, each null."""
+    old = {key: row.get(key) for key in keys}
+    for slot in ("shipper", "consignee", "buyer", "supplier"):
+        if old.get(slot) is not None:
+            old[slot] = {**old[slot], "role_hint": old[slot].get("role_hint", slot)}
+    return old
+
+
+def test_store_in_the_old_row_shape_loads_builds_and_resolves_unchanged(tmp_path, capsys):
+    assert run("demo", "--out", tmp_path / "demo") == 0
+    new, old = tmp_path / "demo" / "store", tmp_path / "old"
+    shutil.copytree(new, old)
+    for name, (keys, digest) in OLD_SHAPE_DEMO.items():
+        rows = [json.loads(line) for line in (new / name).read_text("utf-8").splitlines()]
+        text = "".join(json.dumps(_old_shape(row, keys), ensure_ascii=False) + "\n"
+                       for row in rows)
+        (old / name).write_text(text, "utf-8")
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert load_store(str(old)) == load_store(str(new))
+
+    factors = fixture_path("factors_demo.ndjson")
+    for store in (new, old):
+        assert run("--store", store, "build", "--factors", factors,
+                   "--out", tmp_path / f"{store.name}.json") == 0
+    assert (tmp_path / "old.json").read_bytes() == (tmp_path / "store.json").read_bytes()
+
+    written = {name: (old / name).read_bytes() for name in OLD_SHAPE_DEMO}
+    assert run("--store", old, "resolve") == 0
+    assert {name: (old / name).read_bytes() for name in OLD_SHAPE_DEMO} == written
 
 
 @pytest.mark.parametrize("argv, target, content, code, reason", [
@@ -732,6 +778,25 @@ def test_demo_outputs_match_golden(tmp_path, capsys):
                  '{"source_id": "s1", "item": 5}\n',
                  1, ":1: malformed triple row: item must be a string or null, got int",
                  id="eval-item-not-string"),
+    pytest.param(["eval", "--pred", "BAD", "--gold", "BAD"], "triples.ndjson",
+                 '{"source_id": "s1", "buyer": 5, "item": "x"}\n',
+                 1, ":1: malformed triple row: CompanyRef.raw_name must be a string, got int",
+                 id="eval-buyer-not-string"),
+    pytest.param(["resolve"], "store/records.ndjson",
+                 '{"shipper": {"raw_name": 5}}\n',
+                 2, ":1: bad row {'shipper': {'raw_name': 5}}: "
+                 "CompanyRef.raw_name must be a string, got int",
+                 id="store-records-raw-name-not-string"),
+    pytest.param(["resolve"], "store/sentences.ndjson",
+                 '{"transcript_id": "t", "index": 0, "text": 5}\n',
+                 2, ":1: bad row {'transcript_id': 't', 'index': 0, 'text': 5}: "
+                 "Sentence.text must be a string, got int",
+                 id="store-sentences-text-not-string"),
+    pytest.param(["resolve"], "store/sentences.ndjson",
+                 '{"id": 5, "transcript_id": "t", "index": 0, "text": "x"}\n',
+                 2, ":1: bad row {'id': 5, 'transcript_id': 't', 'index': 0, 'text': 'x'}: "
+                 "Sentence.id must be a string, got int",
+                 id="store-sentences-id-not-string"),
 ])
 def test_malformed_ndjson_input_names_path_and_line(tmp_path, caplog, argv, target, content,
                                                      code, reason):

@@ -5,9 +5,10 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from elia import store as store_module
-from elia.core import CompanyRef, Sentence, ShipmentRecord, TransactionTriple
+from elia.core import ROLES, CompanyRef, Sentence, ShipmentRecord, TransactionTriple
 from elia.errors import DuplicateIdError, StoreFormatError, StoreVersionError
 from elia.store import load_store, new_store, save_store
 
@@ -134,6 +135,54 @@ def test_round_trip_preserves_optional_fields(tmp_path):
     )
     save_store(store, str(tmp_path / "s"))
     assert load_store(str(tmp_path / "s")) == store
+
+
+_NAME = st.text(min_size=1, max_size=12).filter(str.strip)
+_OPTIONAL_TEXT = st.none() | st.text(max_size=12)
+_OPTIONAL_FIELDS = ("shipper_address", "consignee_address", "arrival_date")
+
+
+def _party(slot: str):
+    """A party in row slot ``slot``: its role half the time the slot, else any role."""
+    return st.builds(CompanyRef, _NAME, st.just(slot) | st.sampled_from(ROLES))
+
+
+def _row(item) -> dict:
+    """``item.to_dict()`` as a store file holds it and ``read_ndjson`` gives it back."""
+    return json.loads(store_module._encode_row(item.to_dict()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_party("shipper"), _party("consignee"), _OPTIONAL_TEXT, _OPTIONAL_TEXT,
+       st.none() | st.dates(), st.integers(0, 10**9), st.floats(0, 1e12))
+def test_record_row_leaves_out_what_from_dict_restores(shipper, consignee, shipper_address,
+                                                       consignee_address, arrival, qty, weight):
+    record = ShipmentRecord(shipper=shipper, consignee=consignee, product_desc="GOODS",
+                            quantity=qty, weight_kg=weight, shipper_address=shipper_address,
+                            consignee_address=consignee_address, arrival_date=arrival)
+    row = _row(record)
+    assert ShipmentRecord.from_dict(row) == record
+    for slot in ("shipper", "consignee"):
+        assert ("role_hint" in row[slot]) == (getattr(record, slot).role_hint != slot)
+    assert [k for k in _OPTIONAL_FIELDS if k in row] == [
+        k for k in _OPTIONAL_FIELDS if getattr(record, k) is not None]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.none() | _party("buyer"), st.none() | _party("supplier"), _OPTIONAL_TEXT,
+       st.floats(0, 1))
+def test_triple_row_leaves_out_what_from_dict_restores(buyer, supplier, item, confidence):
+    assume(buyer or supplier or item is not None)
+    triple = TransactionTriple(buyer=buyer, supplier=supplier, item=item, source_id="s1",
+                               confidence=confidence, triple_id="t000001")
+    row = _row(triple)
+    assert TransactionTriple.from_dict(row) == triple
+    for slot in ("buyer", "supplier"):
+        party = getattr(triple, slot)
+        if party is None:
+            assert row[slot] is None
+        else:
+            assert ("role_hint" in row[slot]) == (party.role_hint != slot)
 
 
 def test_load_empty_manifest_is_parse_error(tmp_path):
