@@ -5,14 +5,25 @@ exact inverse of ``export`` with format="graph_json". GEXF and DOT are
 one-way visualization exports. Numeric attributes are written with six
 decimal places so golden files stay byte-stable.
 
-Every format is written from text templates, one element at a time, and
+graph_json version 2 (``GRAPH_JSON_VERSION``) is one compact JSON line,
+the bytes of one ``json.dumps(ensure_ascii=False, separators=(",", ":"))``
+call plus a final newline, encoded a batch of rows at a time. Nodes are three columns (``id``,
+``display_name``, ``direct_emissions_kg``); ``items`` and ``factors``
+(``[per_kg_co2e, provenance]``) are tables; each edge is one array
+``[source, target, item, mass_kg, factor, source_ref]`` whose first three
+and fifth values index the node columns and the tables, and whose
+``source_ref`` names the ``record_id`` or ``triple_id`` the edge was built
+from (``null`` when unknown). ``edge_ids`` is written only when the ids are
+not ``add_edge``'s sequence ``e000001…``, and ``report`` only when a report
+is exported. ``import_graph_json`` also reads version 1, where each edge is
+an object that spells out its ids; its edges get no ``source_ref``.
+
+GEXF and DOT are written from text templates, one element at a time, and
 streamed to the file in chunks of a few hundred lines, so the whole
 document never exists in memory at once. GEXF bytes are pinned against
 the original ElementTree writer (``tests/oracles.py::oracle_write_gexf``):
 same attribute escaping, two-space indent, ``" />"`` empty tags and no
-final newline; characters XML does not allow become U+FFFD. graph_json
-bytes are those of ``json.JSONEncoder(ensure_ascii=False, indent=2)``
-plus a final newline.
+final newline; characters XML does not allow become U+FFFD.
 
 Every file written here (graph_json, GEXF, DOT and ``report.json``) goes
 through ``core.replace_file``: a temporary file moved over the target, so an
@@ -25,16 +36,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring
 
-from .core import EmissionFactor, json_number, no_gc, read_json, replace_file
+from .core import EmissionFactor, no_gc, read_json, replace_file
 from .errors import DuplicateIdError, NodeNotFoundError, StoreFormatError, UsageError
 from .graph import MODES, ELiabilityReport, SupplyGraph
 
-GRAPH_JSON_VERSION = 1
+GRAPH_JSON_VERSION = 2
 
 FORMATS = ("gexf", "dot", "graph_json")
 WEIGHT_ATTRS = ("edge_liability", "mass")
@@ -73,7 +84,7 @@ def export(
 ) -> None:
     """Write the graph (plus optional per-node report values) to ``path``."""
     if opts.format == "graph_json":
-        replace_file(path, _chunks(_graph_json_lines(graph, report, opts), "\n"))
+        replace_file(path, _graph_json_chunks(graph, report, opts))
     elif opts.format == "gexf":
         # ElementTree's own file settings, so characters UTF-8 cannot encode
         # (a lone surrogate) still become numeric character references.
@@ -100,78 +111,102 @@ def _chunks(lines, end: str):
     yield end
 
 
-def _json_str(text: str) -> str:
-    """``text`` as ``json`` writes it with ``ensure_ascii=False``; json's error otherwise."""
-    try:
-        return encode_basestring(text)
-    except TypeError:
-        raise TypeError(f"Object of type {type(text).__name__} is not JSON serializable") from None
+def _require_json_strings(values) -> None:
+    """json's ``TypeError`` for the first value that is not a string.
 
-
-def _json_items(head: str, items, tail: str, brackets: str = "[]", indent: str = "  "):
-    """Lines of ``head`` + a json container of the pre-rendered ``items`` + ``tail``.
-
-    Items are comma-separated and the closing bracket sits at ``indent``,
-    as ``json.JSONEncoder(indent=2)`` lays them out; an empty container is
-    ``[]`` or ``{}`` on the head line.
+    ``json`` would write a number or ``null`` held in a string field without
+    complaint, and the reader would reject the file.
     """
-    items = iter(items)
-    prev = next(items, None)
-    if prev is None:
-        yield f"{head}{brackets}{tail}"
-        return
-    yield head + brackets[0]
-    for item in items:
-        yield prev + ","
-        prev = item
-    yield prev
-    yield f"{indent}{brackets[1]}{tail}"
+    for value in values:
+        if not isinstance(value, str):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _graph_json_lines(graph, report, opts):
-    """graph_json, byte for byte ``json.JSONEncoder(ensure_ascii=False, indent=2)``.
+_JSON_BATCH = 1024
 
-    Strings go through json's own encoder and numbers are written as json
-    writes them (``json_number``). A string field holding anything but a
-    string raises json's ``TypeError`` before the file is replaced.
+
+def _json_pieces(encode, value, depth: int):
+    """Pieces that join to ``encode(value)``, each of bounded size.
+
+    Dicts down to ``depth`` levels are written key by key; any other list
+    or dict is encoded _JSON_BATCH entries at a time. json holds a small
+    string per number until it joins its output, so encoding a whole large
+    document at once would hold several times its size.
     """
-    # Ids, items and provenances repeat across edges: escape each once.
-    string = functools.cache(_json_str)
-    yield f'{{\n  "format": "supply-graph",\n  "version": {GRAPH_JSON_VERSION},\n  "directed": true,'
-    yield from _json_items('  "nodes": ', (
-        f'    {{\n      "id": {string(n.canonical_id)},\n'
-        f'      "display_name": {_json_str(n.display_name)},\n'
-        f'      "direct_emissions_kg": {json_number(n.direct_emissions_kg)}\n    }}'
-        for n in _visible_nodes(graph, opts.include_isolates)
-    ), ",")
-    yield from _json_items('  "edges": ', (
-        f'    {{\n      "edge_id": {_json_str(e.edge_id)},\n'
-        f'      "source": {string(e.source)},\n'
-        f'      "target": {string(e.target)},\n'
-        f'      "item": {string(e.item)},\n'
-        f'      "mass_kg": {json_number(e.mass_kg)},\n'
-        f'      "factor": {{\n'
-        f'        "per_kg_co2e": {json_number(e.factor.per_kg_co2e)},\n'
-        f'        "provenance": {string(e.factor.provenance)}\n'
-        f'      }},\n'
-        f'      "edge_liability_kg": {json_number(e.edge_liability_kg)}\n    }}'
-        for e in graph.edges
-    ), "" if report is None else ",")
+    if type(value) is dict and depth > 0:
+        sep = "{"
+        for key, item in value.items():
+            yield f"{sep}{encode(key)}:"
+            yield from _json_pieces(encode, item, depth - 1)
+            sep = ","
+        yield "{}" if sep == "{" else "}"
+    elif type(value) is list or type(value) is dict:
+        entries = list(value.items()) if type(value) is dict else value
+        for k in range(0, max(len(entries), 1), _JSON_BATCH):
+            text = encode(type(value)(entries[k:k + _JSON_BATCH]))
+            yield text[:-1] if k == 0 else "," + text[1:-1]
+        yield text[-1]
+    else:
+        yield encode(value)
+
+
+def _graph_json_chunks(graph, report, opts):
+    """The graph_json version 2 document, one compact line and a newline, in pieces.
+
+    The pieces join to ``json.dumps(doc, ensure_ascii=False,
+    separators=(",", ":"))`` and a newline (see ``_json_pieces``). Items
+    and factors are tables that edges index; a factor is keyed as
+    ``import_graph_json`` keys it, so ``0.0`` and ``-0.0`` (equal, and
+    equally hashed) both round-trip. Edge ids are written only when they
+    are not ``add_edge``'s own sequence ``e000001…``. A string field
+    holding anything but a string raises ``TypeError`` before the file is
+    replaced.
+    """
+    nodes = _visible_nodes(graph, opts.include_isolates)
+    position = {n.canonical_id: i for i, n in enumerate(nodes)}
+    items: dict[str, int] = {}
+    factors: dict[tuple, int] = {}
+    factor_rows = []
+    edges = []
+    for e in graph.edges:
+        factor = e.factor
+        value = factor.per_kg_co2e
+        key = (value if type(value) is float and value else repr(value), factor.provenance)
+        f = factors.get(key)
+        if f is None:
+            f = factors[key] = len(factor_rows)
+            factor_rows.append([value, factor.provenance])
+        edges.append([position[e.source], position[e.target], items.setdefault(e.item, len(items)),
+                      e.mass_kg, f, e.source_ref])
+    doc = {
+        "format": "supply-graph",
+        "version": GRAPH_JSON_VERSION,
+        "directed": True,
+        "nodes": {
+            "id": list(position),
+            "display_name": [n.display_name for n in nodes],
+            "direct_emissions_kg": [n.direct_emissions_kg for n in nodes],
+        },
+        "items": list(items),
+        "factors": factor_rows,
+        "edges": edges,
+    }
+    strings = [position, doc["nodes"]["display_name"], items, [p for _, p in factor_rows],
+               [e.source_ref for e in graph.edges if e.source_ref is not None]]
+    if any(e.edge_id != f"e{i:06d}" for i, e in enumerate(graph.edges, 1)):
+        doc["edge_ids"] = [e.edge_id for e in graph.edges]
+        strings.append(doc["edge_ids"])
     if report is not None:
-        # report.to_dict(): keys in insertion order, node rows sorted by id
-        yield '  "report": {'
-        yield f'    "mode": {_json_str(report.mode)},'
-        yield f'    "residual": {json_number(report.residual)},'
-        yield from _json_items('    "nodes": ', (
-            f'      {string(nid)}: {{\n'
-            f'        "direct_kg": {json_number(row.direct_kg)},\n'
-            f'        "inherited_kg": {json_number(row.inherited_kg)},\n'
-            f'        "transferred_kg": {json_number(row.transferred_kg)},\n'
-            f'        "retained_kg": {json_number(row.retained_kg)}\n      }}'
-            for nid, row in sorted(report.nodes.items())
-        ), "", "{}", "    ")
-        yield "  }"
-    yield "}"
+        doc["report"] = report.to_dict()
+        strings += [[report.mode], report.nodes]
+    for values in strings:
+        _require_json_strings(values)
+    yield from _json_pieces(json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode,
+                            doc, depth=2)
+    yield "\n"
+
+
+_V1_EDGE_STRINGS = ("edge_id", "source", "target", "item")
 
 
 def _require_strings(row: dict, keys: tuple[str, ...]) -> None:
@@ -182,11 +217,13 @@ def _require_strings(row: dict, keys: tuple[str, ...]) -> None:
 
 @no_gc()
 def import_graph_json(path: str) -> SupplyGraph:
-    """Rebuild a graph from a graph_json file; exact inverse of export."""
+    """Rebuild a graph from a graph_json file, version 1 or 2; exact inverse of export."""
     doc = read_json(path, StoreFormatError, "JSON")
     if doc.get("format") != "supply-graph":
         raise StoreFormatError(f"{path}: not a supply-graph document")
-    if doc.get("version") != GRAPH_JSON_VERSION:
+    if doc.get("version") == GRAPH_JSON_VERSION:
+        return _import_v2(path, doc)
+    if doc.get("version") != 1:
         raise StoreFormatError(
             f"{path}: unsupported graph_json version {doc.get('version')!r}"
         )
@@ -195,6 +232,10 @@ def import_graph_json(path: str) -> SupplyGraph:
         if not isinstance(value, list):
             raise StoreFormatError(f"{path}: {key}: expected a list, got {type(value).__name__}")
     graph = SupplyGraph()
+    # Edges take each node's own id string and one string per distinct
+    # item, not the copies json decoded for every row.
+    ids: dict[str, str] = {}
+    items: dict[str, str] = {}
     # A row whose string fields are all exact str passes the cheap tests
     # below. Any other row goes through _require_strings only to raise its
     # error: the first key, in order, that is missing or not a string.
@@ -206,36 +247,157 @@ def import_graph_json(path: str) -> SupplyGraph:
             if (type(n) is not dict or type(n.get("id")) is not str
                     or type(n.get("display_name")) is not str):
                 _require_strings(n, ("id", "display_name"))
-            if n["id"] in graph.nodes:
-                raise StoreFormatError(f"{path}: nodes[{i}]: duplicate node id {n['id']!r}")
-            graph.add_node(n["id"], n["display_name"], float(n["direct_emissions_kg"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            nid = n["id"]
+            if nid in graph.nodes:
+                raise StoreFormatError(f"{path}: nodes[{i}]: duplicate node id {nid!r}")
+            graph.add_node(nid, n["display_name"], float(n["direct_emissions_kg"]))
+            ids[nid] = nid
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StoreFormatError(f"{path}: nodes[{i}]: {exc}") from exc
     # EmissionFactor is frozen, so edges with the same factor share one
-    # instance, built (and validated) the first time its pair appears. The
-    # value is keyed by repr because 0.0 == -0.0, and both must round-trip.
+    # instance, built (and validated) the first time its pair appears. A
+    # nonzero float is keyed by value; any other value by repr, because
+    # 0.0 == -0.0 and both must round-trip.
     factors: dict[tuple, EmissionFactor] = {}
+    node_id, shared_item, add_edge = ids.get, items.setdefault, graph.add_edge
     for i in range(len(edges)):
         e, edges[i] = edges[i], None
         try:
-            if (type(e) is not dict or type(e.get("edge_id")) is not str
-                    or type(e.get("source")) is not str or type(e.get("target")) is not str
-                    or type(e.get("item")) is not str):
-                _require_strings(e, ("edge_id", "source", "target", "item"))
+            if type(e) is not dict:
+                _require_strings(e, _V1_EDGE_STRINGS)
+            edge_id, source, target = e.get("edge_id"), e.get("source"), e.get("target")
+            item = e.get("item")
+            if (type(edge_id) is not str or type(source) is not str
+                    or type(target) is not str or type(item) is not str):
+                _require_strings(e, _V1_EDGE_STRINGS)
             raw = e["factor"]
-            key = (repr(raw["per_kg_co2e"]), raw.get("provenance", "manual"))
+            value = raw["per_kg_co2e"]
+            key = (value if type(value) is float and value else repr(value),
+                   raw.get("provenance", "manual"))
             factor = factors.get(key)
             if factor is None:
                 factor = factors[key] = EmissionFactor.from_dict(raw)
-            graph.add_edge(
-                e["source"],
-                e["target"],
-                e["item"],
-                float(e["mass_kg"]),
-                factor,
-                edge_id=e["edge_id"],
-            )
-        except (KeyError, TypeError, ValueError, NodeNotFoundError, DuplicateIdError) as exc:
+            add_edge(node_id(source, source), node_id(target, target), shared_item(item, item),
+                     float(e["mass_kg"]), factor, edge_id)
+        except (KeyError, TypeError, ValueError, OverflowError, NodeNotFoundError,
+                DuplicateIdError) as exc:
+            raise StoreFormatError(f"{path}: edges[{i}]: {exc}") from exc
+    return graph
+
+
+_NODE_COLUMNS = ("id", "display_name", "direct_emissions_kg")
+
+
+def _type_name(value) -> str:
+    return type(value).__name__
+
+
+def _node_fault(nid, name, kg) -> str:
+    """Why a version-2 node row failed the reader's type tests."""
+    for key, value in (("id", nid), ("display_name", name)):
+        if type(value) is not str:
+            return f"{key!r} must be a string, got {_type_name(value)}"
+    return f"direct_emissions_kg must be a number, got {_type_name(kg)}"
+
+
+def _edge_fault(e, sizes: dict[str, int]) -> str:
+    """Why a version-2 edge array failed the reader's type and range tests."""
+    if type(e) is not list or len(e) != 6:
+        got = f"{len(e)} values" if type(e) is list else _type_name(e)
+        return f"expected an array [source, target, item, mass_kg, factor, source_ref], got {got}"
+    for pos, name in ((0, "source"), (1, "target"), (2, "item"), (4, "factor")):
+        if type(e[pos]) is not int:
+            return f"{name} index must be an integer, got {_type_name(e[pos])}"
+        if not 0 <= e[pos] < sizes[name]:
+            return f"{name} index {e[pos]} out of range [0, {sizes[name]})"
+    if type(e[3]) is not float and type(e[3]) is not int:
+        return f"mass_kg must be a number, got {_type_name(e[3])}"
+    return f"source_ref must be a string or null, got {_type_name(e[5])}"
+
+
+def _v2_list(path: str, doc: dict, key: str, where: str | None = None):
+    value = doc.get(key, [])
+    if type(value) is not list:
+        raise StoreFormatError(f"{path}: {where or key}: expected a list, got {_type_name(value)}")
+    return value
+
+
+def _import_v2(path: str, doc: dict) -> SupplyGraph:
+    """Build the graph of a version-2 document, with every check the v1 reader makes.
+
+    Indices must be ints (not bools) in range, amounts ints or floats that
+    pass ``check_amount``, strings strings. Each fault is a
+    ``StoreFormatError`` naming ``nodes[i]``, ``items[i]``, ``factors[i]``
+    or ``edges[i]``. Edges take each node's own id string and the items
+    table's strings, so each distinct string is held once.
+    """
+    columns = doc.get("nodes", {})
+    if type(columns) is not dict:
+        raise StoreFormatError(f"{path}: nodes: expected an object, got {_type_name(columns)}")
+    ids, names, direct = (_v2_list(path, columns, key, f"nodes.{key}") for key in _NODE_COLUMNS)
+    items, factor_rows, edges = (_v2_list(path, doc, key) for key in ("items", "factors", "edges"))
+    edge_ids = doc.get("edge_ids")
+    if edge_ids is not None:
+        edge_ids = _v2_list(path, doc, "edge_ids")
+    if not len(ids) == len(names) == len(direct):
+        lengths = [len(column) for column in (ids, names, direct)]
+        described = ", ".join(f"{key} {n}" for key, n in zip(_NODE_COLUMNS, lengths))
+        raise StoreFormatError(f"{path}: nodes[{min(lengths)}]: "
+                               f"node columns differ in length ({described})")
+    if edge_ids is not None and len(edge_ids) != len(edges):
+        raise StoreFormatError(f"{path}: edges[{min(len(edges), len(edge_ids))}]: "
+                               f"{len(edge_ids)} edge_ids for {len(edges)} edges")
+    for i, item in enumerate(items):
+        if type(item) is not str:
+            raise StoreFormatError(
+                f"{path}: items[{i}]: item must be a string, got {_type_name(item)}")
+    factors = []
+    for i, row in enumerate(factor_rows):
+        try:
+            if type(row) is not list or len(row) != 2:
+                got = f"{len(row)} values" if type(row) is list else _type_name(row)
+                raise ValueError(f"expected an array [per_kg_co2e, provenance], got {got}")
+            value, provenance = row
+            if type(value) is not float and type(value) is not int:
+                raise ValueError(f"per_kg_co2e must be a number, got {_type_name(value)}")
+            if type(provenance) is not str:
+                raise ValueError(f"provenance must be a string, got {_type_name(provenance)}")
+            factors.append(EmissionFactor(float(value), provenance))
+        except (ValueError, OverflowError) as exc:
+            raise StoreFormatError(f"{path}: factors[{i}]: {exc}") from exc
+    graph = SupplyGraph()
+    for i, (nid, name, kg) in enumerate(zip(ids, names, direct)):
+        try:
+            if type(nid) is not str or type(name) is not str or (
+                    type(kg) is not float and type(kg) is not int):
+                raise ValueError(_node_fault(nid, name, kg))
+            if nid in graph.nodes:
+                raise ValueError(f"duplicate node id {nid!r}")
+            graph.add_node(nid, name, float(kg))
+        except (ValueError, OverflowError) as exc:
+            raise StoreFormatError(f"{path}: nodes[{i}]: {exc}") from exc
+    n_nodes, n_items, n_factors = len(ids), len(items), len(factors)
+    sizes = {"source": n_nodes, "target": n_nodes, "item": n_items, "factor": n_factors}
+    add_edge, edge_id = graph.add_edge, None
+    # Each decoded array is dropped once its edge is built, as in version 1.
+    for i in range(len(edges)):
+        e, edges[i] = edges[i], None
+        try:
+            if type(e) is not list or len(e) != 6:
+                raise ValueError(_edge_fault(e, sizes))
+            s, t, it, mass, f, ref = e
+            if not (type(s) is type(t) is type(it) is type(f) is int
+                    and 0 <= s < n_nodes and 0 <= t < n_nodes
+                    and 0 <= it < n_items and 0 <= f < n_factors
+                    and (type(mass) is float or type(mass) is int)
+                    and (ref is None or type(ref) is str)):
+                raise ValueError(_edge_fault(e, sizes))
+            if edge_ids is not None:
+                edge_id = edge_ids[i]
+                if type(edge_id) is not str:
+                    raise ValueError(f"'edge_id' must be a string, got {_type_name(edge_id)}")
+            add_edge(ids[s], ids[t], items[it], float(mass), factors[f], edge_id, ref)
+        except (ValueError, OverflowError, DuplicateIdError) as exc:
             raise StoreFormatError(f"{path}: edges[{i}]: {exc}") from exc
     return graph
 

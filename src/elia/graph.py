@@ -2,8 +2,9 @@
 
 Nodes are canonical companies; every shipment and every fully-resolved
 transaction relation contributes one directed edge (parallel edges are kept,
-never merged, so each shipment stays auditable). Edge liability is
-``mass_kg * factor.per_kg_co2e``.
+never merged, so each shipment stays auditable), and names the store row
+it came from, a ``record_id`` or ``triple_id``, in ``source_ref``. Edge
+liability is ``mass_kg * factor.per_kg_co2e``.
 
 Propagation modes:
 
@@ -85,6 +86,7 @@ class Edge:
     item: str
     mass_kg: float
     factor: EmissionFactor
+    source_ref: str | None = None  # the record_id or triple_id the edge was built from
     edge_liability_kg: float = field(init=False)
 
     def __post_init__(self):
@@ -111,7 +113,7 @@ class SupplyGraph:
         return node
 
     def add_edge(self, source: str, target: str, item: str, mass_kg: float, factor: EmissionFactor,
-                 edge_id: str | None = None) -> Edge:
+                 edge_id: str | None = None, source_ref: str | None = None) -> Edge:
         if source not in self.nodes:
             raise NodeNotFoundError(f"unknown edge source: {source}")
         if target not in self.nodes:
@@ -122,7 +124,7 @@ class SupplyGraph:
         # graph, and in GEXF, whose ids must be unique.
         if edge_id in self._edge_ids:
             raise DuplicateIdError(f"duplicate edge_id {edge_id!r}")
-        edge = Edge(edge_id, source, target, item, mass_kg, factor)
+        edge = Edge(edge_id, source, target, item, mass_kg, factor, source_ref)
         self._edge_ids.add(edge_id)
         self.edges.append(edge)
         return edge
@@ -274,7 +276,8 @@ def build_graph(
         source = node_for(rec.shipper.raw_name)
         target = node_for(rec.consignee.raw_name)
         try:
-            graph.add_edge(source, target, rec.product_desc, rec.weight_kg, factor)
+            graph.add_edge(source, target, rec.product_desc, rec.weight_kg, factor,
+                           source_ref=rec.record_id)
         except ValueError as exc:
             raise ValueError(f"record {rec.record_id} item {rec.product_desc!r}: {exc}") from exc
         report.edges_from_records += 1
@@ -297,7 +300,7 @@ def build_graph(
         factor = resolver(item) or EmissionFactor(0.0, "manual")
         source = node_for(triple.supplier.raw_name)
         target = node_for(triple.buyer.raw_name)
-        graph.add_edge(source, target, item, 0.0, factor)
+        graph.add_edge(source, target, item, 0.0, factor, source_ref=triple.triple_id)
         report.edges_from_triples += 1
 
     return graph, report

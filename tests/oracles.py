@@ -20,8 +20,10 @@ loop of the BOL parser.
 
 The GEXF oracle is the original writer: it builds an ElementTree, indents
 it and lets ElementTree serialize it, so the string writer must match its
-escaping and layout byte for byte. The graph_json oracle likewise builds
-the document as dicts and lets ``json`` encode it.
+escaping and layout byte for byte. The graph_json oracles likewise build
+the document as dicts and let ``json`` encode it: ``oracle_graph_json`` is
+the version-1 layout, which the reader still takes, and
+``oracle_graph_json_v2`` the version-2 layout the writer produces.
 """
 
 from __future__ import annotations
@@ -410,3 +412,50 @@ def oracle_graph_json(graph, report, opts) -> str:
     if report is not None:
         doc["report"] = report.to_dict()
     return json.JSONEncoder(ensure_ascii=False, indent=2).encode(doc) + "\n"
+
+
+def oracle_graph_json_v2(graph, report, opts) -> str:
+    """graph_json version 2 text: plain lists and dicts, encoded by one ``json`` call.
+
+    Items and factors are listed in order of first use; a factor is told
+    apart by the ``repr`` of its value and its provenance, so ``-0.0`` is
+    not ``0.0``. Edge ids are left out when they are ``e000001``, ``e000002``, ….
+    """
+    nodes = _visible_nodes(graph, opts.include_isolates)
+    node_index = {n.canonical_id: i for i, n in enumerate(nodes)}
+    items: dict[str, int] = {}
+    factors: dict[tuple[str, str], list] = {}
+    for e in graph.edges:
+        items.setdefault(e.item, len(items))
+        key = (repr(e.factor.per_kg_co2e), e.factor.provenance)
+        factors.setdefault(key, [e.factor.per_kg_co2e, e.factor.provenance])
+    factor_index = {key: i for i, key in enumerate(factors)}
+    doc = {
+        "format": "supply-graph",
+        "version": 2,
+        "directed": True,
+        "nodes": {
+            "id": [n.canonical_id for n in nodes],
+            "display_name": [n.display_name for n in nodes],
+            "direct_emissions_kg": [n.direct_emissions_kg for n in nodes],
+        },
+        "items": list(items),
+        "factors": list(factors.values()),
+        "edges": [
+            [
+                node_index[e.source],
+                node_index[e.target],
+                items[e.item],
+                e.mass_kg,
+                factor_index[(repr(e.factor.per_kg_co2e), e.factor.provenance)],
+                e.source_ref,
+            ]
+            for e in graph.edges
+        ],
+    }
+    edge_ids = [e.edge_id for e in graph.edges]
+    if edge_ids != [f"e{i:06d}" for i in range(1, len(edge_ids) + 1)]:
+        doc["edge_ids"] = edge_ids
+    if report is not None:
+        doc["report"] = report.to_dict()
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"

@@ -11,7 +11,7 @@ from conftest import fixture_path, replace_file_failing_partway
 
 from elia import cli, errors, transcripts
 from elia.cli import main
-from elia.core import EmissionFactor
+from elia.core import EmissionFactor, read_ndjson
 from elia.exporter import ExportOptions, export, import_graph_json
 from elia.graph import SupplyGraph
 from elia.store import load_store
@@ -293,6 +293,19 @@ def with_factor(factor):
     return doc
 
 
+def graph_doc_v2(nodes, edges, **fields):
+    """A version-2 document: ``nodes`` as (id, direct kg); ``edges`` index one item and one factor."""
+    return {
+        "format": "supply-graph", "version": 2, "directed": True,
+        "nodes": {"id": [nid for nid, _ in nodes], "display_name": [nid for nid, _ in nodes],
+                  "direct_emissions_kg": [kg for _, kg in nodes]},
+        "items": ["x"], "factors": [[1.0, "manual"]], "edges": edges, **fields,
+    }
+
+
+AB = [("a", 0.0), ("b", 0.0)]
+
+
 def overflowing_edge():
     """One edge a->b whose mass and factor are finite but whose product is not."""
     doc = graph_doc([("a", 0.0), ("b", 0.0)], [("e1", "a", "b", 1e200)])
@@ -330,6 +343,63 @@ def overflowing_edge():
     pytest.param(overflowing_edge(),
                  ": edges[0]: edge_liability_kg must be >= 0 and finite, got inf",
                  id="overflowing-liability"),
+    pytest.param(graph_doc([("a", 0.0), ("b", 0.0)], [("e1", "a", "b", 10**400)]),
+                 ": edges[0]: int too large to convert to float", id="integer-too-large-mass"),
+    pytest.param(graph_doc_v2(AB, [[0, 1, 0, 1.0, 0, None], [0, 2, 0, 1.0, 0, None]]),
+                 ": edges[1]: target index 2 out of range [0, 2)", id="v2-index-out-of-range"),
+    pytest.param(graph_doc_v2(AB, [[-1, 1, 0, 1.0, 0, None]]),
+                 ": edges[0]: source index -1 out of range [0, 2)", id="v2-negative-index"),
+    pytest.param(graph_doc_v2(AB, [[0, True, 0, 1.0, 0, None]]),
+                 ": edges[0]: target index must be an integer, got bool", id="v2-bool-index"),
+    pytest.param(graph_doc_v2(AB, [[0, 1, 0, 1.0, 0, None], [0, 1, 0, 1.0, 0]]),
+                 ": edges[1]: expected an array [source, target, item, mass_kg, factor, "
+                 "source_ref], got 5 values", id="v2-edge-array-wrong-length"),
+    pytest.param(graph_doc_v2(AB, [[0, 1, 0, 1.0, 1, None]]),
+                 ": edges[0]: factor index 1 out of range [0, 1)", id="v2-unknown-factor-index"),
+    pytest.param(dict(graph_doc_v2(AB, []), nodes={"id": ["a", "b"], "display_name": ["a"],
+                                                   "direct_emissions_kg": [0.0, 0.0]}),
+                 ": nodes[1]: node columns differ in length (id 2, display_name 1, "
+                 "direct_emissions_kg 2)", id="v2-node-columns-unequal"),
+    pytest.param(graph_doc_v2(AB, [[0, 1, 0, 1.0, 0, 7]]),
+                 ": edges[0]: source_ref must be a string or null, got int",
+                 id="v2-source-ref-not-string"),
+    pytest.param(graph_doc_v2(AB, [[0, 1, 0, 1.0, 0, None], [1, 0, 0, 1.0, 0, None]],
+                              edge_ids=["e1"]),
+                 ": edges[1]: 1 edge_ids for 2 edges", id="v2-edge-ids-wrong-length"),
+    pytest.param(graph_doc_v2(AB, [[0, 1, 0, 1.0, 0, None], [1, 0, 0, 1.0, 0, None]],
+                              edge_ids=["e1", "e1"]),
+                 ": edges[1]: duplicate edge_id 'e1'", id="v2-edge-ids-repeated"),
+    pytest.param(graph_doc_v2(AB, [[0, 1, 0, 1.0, 0, None]], edge_ids=[5]),
+                 ": edges[0]: 'edge_id' must be a string, got int", id="v2-edge-id-not-string"),
+    pytest.param(graph_doc_v2([("a", 0.0), ("a", 1.0)], []),
+                 ": nodes[1]: duplicate node id 'a'", id="v2-repeated-node-id"),
+    pytest.param(graph_doc_v2([("a", 0.0), ("b", "5")], []),
+                 ": nodes[1]: direct_emissions_kg must be a number, got str",
+                 id="v2-direct-emissions-not-a-number"),
+    pytest.param(graph_doc_v2([("a", 0.0), ("b", math.nan)], []),
+                 ": nodes[1]: direct_emissions_kg must be >= 0 and finite, got nan",
+                 id="v2-nan-direct-emissions"),
+    pytest.param(graph_doc_v2(AB, [[0, 1, 0, "1", 0, None]]),
+                 ": edges[0]: mass_kg must be a number, got str", id="v2-mass-not-a-number"),
+    pytest.param(graph_doc_v2(AB, [[0, 1, 0, 10**400, 0, None]]),
+                 ": edges[0]: int too large to convert to float", id="v2-integer-too-large-mass"),
+    pytest.param(dict(graph_doc_v2(AB, [[0, 1, 0, 1e200, 0, None]]), factors=[[1e200, "manual"]]),
+                 ": edges[0]: edge_liability_kg must be >= 0 and finite, got inf",
+                 id="v2-overflowing-liability"),
+    pytest.param(dict(graph_doc_v2(AB, []), items=["x", 5]),
+                 ": items[1]: item must be a string, got int", id="v2-item-not-string"),
+    pytest.param(dict(graph_doc_v2(AB, []), factors=[[1.0, "manual"], [1.0, "guess"]]),
+                 ": factors[1]: unknown factor provenance: 'guess'", id="v2-unknown-provenance"),
+    pytest.param(dict(graph_doc_v2(AB, []), factors=[[-1.0, "manual"]]),
+                 ": factors[0]: per_kg_co2e must be >= 0 and finite, got -1.0",
+                 id="v2-negative-factor"),
+    pytest.param(dict(graph_doc_v2(AB, []), factors=[{"per_kg_co2e": 1.0}]),
+                 ": factors[0]: expected an array [per_kg_co2e, provenance], got dict",
+                 id="v2-factor-not-an-array"),
+    pytest.param(dict(graph_doc_v2(AB, []), nodes=[]), ": nodes: expected an object, got list",
+                 id="v2-nodes-not-an-object"),
+    pytest.param(dict(graph_doc_v2(AB, []), edges={}), ": edges: expected a list, got dict",
+                 id="v2-edges-not-a-list"),
 ])
 def test_malformed_graph_json_names_path_and_index_exits_2(tmp_path, caplog, doc, reason):
     graph = tmp_path / "graph.json"
@@ -663,7 +733,7 @@ def test_config_value_error_names_path_and_line(tmp_path, caplog, line, message)
 # sha256 of the demo's outputs; manifest.json is left out because it carries a timestamp.
 DEMO_GOLDEN = {
     "stdout": "c47538e11c6d5db9b569e0ff1c876c367a0d8942c22ba132f6add3049de01c8f",
-    "graph.json": "57ffee9f895b8038407ed5ad50e6ae9b3c38356f8893386b24ed9cb118f061ae",
+    "graph.json": "4b463202760cf9f721d2fe22fdf5a30306cf823103ef5d73c499db817a2fe048",
     "graph.gexf": "6c753a0b3c5497c4d1921329548e583baa580259c4eac71080526a7969e9e947",
     "report.json": "e309469902eb5f5ab50c2606ec2daf88387be97aa0a98f03955d0d7abcb7e771",
     "store/records.ndjson": "b22764ff6e8014c9ca5e44371a21c037a2beb5fe08f37b408f6b21aa5802c94b",
@@ -682,6 +752,20 @@ def test_demo_outputs_match_golden(tmp_path, capsys):
         if name != "stdout":
             digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
     assert digests == DEMO_GOLDEN
+
+
+def test_demo_edges_name_the_store_rows_they_came_from(tmp_path):
+    out_dir = tmp_path / "demo"
+    assert run("demo", "--out", out_dir) == 0
+    store = out_dir / "store"
+    records, triples = (
+        {row[key] for _, row in read_ndjson(str(store / name), ValueError)}
+        for key, name in (("record_id", "records.ndjson"), ("triple_id", "triples.ndjson")))
+    graph = import_graph_json(str(out_dir / "graph.json"))
+    refs = [edge.source_ref for edge in graph.edges]
+    from_records = [ref for ref in refs if ref in records]
+    assert len(from_records) == len(set(from_records)) == len(records) == 12
+    assert len([ref for ref in refs if ref in triples]) == len(refs) - 12 == 3
 
 
 # The demo's two party tables in the row shape written before a party's

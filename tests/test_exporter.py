@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import replace_file_failing_partway
-from oracles import oracle_graph_json, oracle_write_gexf, random_multigraph
+from oracles import oracle_graph_json, oracle_graph_json_v2, oracle_write_gexf, random_multigraph
 
 from elia import exporter
 
@@ -306,8 +306,17 @@ _REPORT_NUMBERS = st.floats() | st.integers(0, 10)
 
 @st.composite
 def graph_json_cases(draw):
-    """GEXF cases, with every report field drawn (NaN, infinities and ints too)."""
+    """GEXF cases, with every report field drawn (NaN, infinities and ints too).
+
+    Each edge gets a drawn ``source_ref`` or none, and the edge ids are
+    sometimes renumbered to ``add_edge``'s sequence, which the writer leaves out.
+    """
     graph, report, opts = draw(gexf_cases())
+    sequence = draw(st.booleans())
+    for i, edge in enumerate(graph.edges, 1):
+        edge.source_ref = draw(st.none() | _AWKWARD)
+        if sequence:
+            edge.edge_id = f"e{i:06d}"
     if report is not None:
         report = ELiabilityReport(draw(_AWKWARD), draw(_REPORT_NUMBERS), {
             nid: NodeLiability(*draw(st.tuples(*[_REPORT_NUMBERS] * 4))) for nid in report.nodes
@@ -322,7 +331,57 @@ def graph_json_cases(draw):
 @example((*_odd_numbers_graph(), ExportOptions()))
 def test_graph_json_writer_matches_json_encoder(case):
     graph, report, opts = case
-    assert _exported_text(graph, report, opts) == oracle_graph_json(graph, report, opts)
+    assert _exported_text(graph, report, opts) == oracle_graph_json_v2(graph, report, opts)
+
+
+# Text a UTF-8 file can hold: no lone surrogates.
+_REF_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.data())
+def test_graph_json_v2_round_trip_is_exact(rng, renumber, data):
+    graph = random_multigraph(rng)
+    for i, edge in enumerate(graph.edges):
+        edge.source_ref = data.draw(st.none() | _REF_TEXT)
+        if renumber:  # ids that are not add_edge's sequence are written out
+            edge.edge_id = data.draw(_REF_TEXT) + f"#{i}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "g.json")
+        export(graph, None, ExportOptions(format="graph_json"), str(path))
+        written = path.read_text(encoding="utf-8")
+        assert ('"edge_ids"' in written) == (renumber and bool(graph.edges))
+        back = import_graph_json(str(path))
+    assert back == graph  # source_ref included
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_graph_json_v1_text_imports_to_the_same_graph(rng):
+    graph = random_multigraph(rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "v1.json")
+        path.write_text(oracle_graph_json(graph, None, ExportOptions()), encoding="utf-8")
+        back = import_graph_json(str(path))
+    assert back == graph  # every source_ref None, as random_multigraph leaves it
+
+
+@pytest.mark.parametrize("write", [
+    pytest.param(lambda g, path: path.write_text(oracle_graph_json(g, None, ExportOptions())),
+                 id="v1"),
+    pytest.param(lambda g, path: export(g, None, ExportOptions(format="graph_json"), str(path)),
+                 id="v2"),
+])
+def test_imported_edges_share_node_id_and_item_strings(tmp_path, write):
+    graph = random_multigraph(random.Random(11), max_nodes=6, max_edges=40)
+    assert len(graph.edges) > 20
+    path = tmp_path / "g.json"
+    write(graph, path)
+    back = import_graph_json(str(path))
+    for edge in back.edges:
+        assert edge.source is back.nodes[edge.source].canonical_id
+        assert edge.target is back.nodes[edge.target].canonical_id
+    assert len({id(e.item) for e in back.edges}) == len({e.item for e in back.edges})
 
 
 def _large_graph(n_nodes=2000, n_edges=20000):
@@ -358,7 +417,7 @@ def test_exports_stream_in_bounded_chunks(tmp_path, monkeypatch, fmt):
     path = tmp_path / f"big.{fmt}"
     export(graph, propagate(graph), ExportOptions(format=fmt), str(path))
     written = path.read_bytes()
-    assert len(written) > 2 * 2**20
+    assert len(written) > 4 * 256 * 2**10  # four times the chunk bound below
     assert kinds == [True]
     assert max(len(chunk.encode("utf-8")) for chunk in seen) <= 256 * 2**10
     assert "".join(seen).encode("utf-8") == written
@@ -427,6 +486,28 @@ def test_graph_json_export_failing_mid_stream_keeps_old_file(tmp_path):
     g.nodes["c"].display_name = object()  # json cannot encode it, after nodes a and b
     with pytest.raises(TypeError, match="not JSON serializable"):
         export(g, None, ExportOptions(format="graph_json"), str(path))
+    assert path.read_bytes() == old_bytes
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("name", ["display_name", "item", "edge_id", "source_ref", "provenance",
+                                  "mode"])
+def test_graph_json_non_string_field_raises_before_replacing_file(tmp_path, name):
+    path = tmp_path / "g.json"
+    export(chain_graph(), None, ExportOptions(format="graph_json"), str(path))
+    old_bytes = path.read_bytes()
+    graph = chain_graph()
+    report = propagate(graph)
+    if name == "mode":
+        report.mode = 5
+    elif name == "display_name":
+        graph.nodes["c"].display_name = 5
+    elif name == "provenance":
+        object.__setattr__(graph.edges[1].factor, "provenance", 5)
+    else:
+        setattr(graph.edges[1], name, 5)
+    with pytest.raises(TypeError, match="Object of type int is not JSON serializable"):
+        export(graph, report, ExportOptions(format="graph_json"), str(path))
     assert path.read_bytes() == old_bytes
     assert not list(tmp_path.glob("*.tmp"))
 
