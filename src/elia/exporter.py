@@ -39,6 +39,7 @@ import itertools
 import json
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import EmissionFactor, no_gc, read_json, replace_file
@@ -125,13 +126,32 @@ def _require_json_strings(values) -> None:
 _JSON_BATCH = 1024
 
 
+def _json_batches(encode, batches, brackets: str = "[]"):
+    """Pieces that join to one JSON array (or object) of all the batches' entries.
+
+    Each batch, a list (or dict) of at most _JSON_BATCH entries, is encoded
+    on its own. json holds a small string per number until it joins its
+    output, so encoding a large document at once would hold several times
+    its size.
+    """
+    sep = brackets[0]
+    for batch in batches:
+        if batch:
+            yield sep + encode(batch)[1:-1]
+            sep = ","
+    yield brackets if sep == brackets[0] else brackets[1]
+
+
+def _slices(entries):
+    return (entries[k:k + _JSON_BATCH] for k in range(0, len(entries), _JSON_BATCH))
+
+
 def _json_pieces(encode, value, depth: int):
     """Pieces that join to ``encode(value)``, each of bounded size.
 
-    Dicts down to ``depth`` levels are written key by key; any other list
-    or dict is encoded _JSON_BATCH entries at a time. json holds a small
-    string per number until it joins its output, so encoding a whole large
-    document at once would hold several times its size.
+    Dicts down to ``depth`` levels are written key by key, any other list
+    or dict a batch at a time, and an iterator as one array of the lists it
+    yields.
     """
     if type(value) is dict and depth > 0:
         sep = "{"
@@ -140,12 +160,12 @@ def _json_pieces(encode, value, depth: int):
             yield from _json_pieces(encode, item, depth - 1)
             sep = ","
         yield "{}" if sep == "{" else "}"
-    elif type(value) is list or type(value) is dict:
-        entries = list(value.items()) if type(value) is dict else value
-        for k in range(0, max(len(entries), 1), _JSON_BATCH):
-            text = encode(type(value)(entries[k:k + _JSON_BATCH]))
-            yield text[:-1] if k == 0 else "," + text[1:-1]
-        yield text[-1]
+    elif type(value) is list:
+        yield from _json_batches(encode, _slices(value))
+    elif type(value) is dict:
+        yield from _json_batches(encode, map(dict, _slices(list(value.items()))), "{}")
+    elif isinstance(value, Iterator):
+        yield from _json_batches(encode, value)
     else:
         yield encode(value)
 
@@ -155,10 +175,11 @@ def _graph_json_chunks(graph, report, opts):
 
     The pieces join to ``json.dumps(doc, ensure_ascii=False,
     separators=(",", ":"))`` and a newline (see ``_json_pieces``). Items
-    and factors are tables that edges index; a factor is keyed as
-    ``import_graph_json`` keys it, so ``0.0`` and ``-0.0`` (equal, and
-    equally hashed) both round-trip. Edge ids are written only when they
-    are not ``add_edge``'s own sequence ``e000001…``. A string field
+    and factors are tables built in one pass over the edges; the edge rows
+    are then made a batch at a time as they are encoded. A factor is keyed
+    by ``(repr(per_kg_co2e), provenance)``, so ``0.0`` and ``-0.0`` (equal,
+    and equally hashed) both round-trip. Edge ids are written only when
+    they are not ``add_edge``'s own sequence ``e000001…``. A string field
     holding anything but a string raises ``TypeError`` before the file is
     replaced.
     """
@@ -167,17 +188,21 @@ def _graph_json_chunks(graph, report, opts):
     items: dict[str, int] = {}
     factors: dict[tuple, int] = {}
     factor_rows = []
-    edges = []
+    # EmissionFactor is frozen and edges mostly share instances, so each
+    # instance is keyed once; the graph keeps it alive, so its id is stable.
+    factor_of: dict[int, int] = {}
     for e in graph.edges:
-        factor = e.factor
-        value = factor.per_kg_co2e
-        key = (value if type(value) is float and value else repr(value), factor.provenance)
-        f = factors.get(key)
-        if f is None:
-            f = factors[key] = len(factor_rows)
-            factor_rows.append([value, factor.provenance])
-        edges.append([position[e.source], position[e.target], items.setdefault(e.item, len(items)),
-                      e.mass_kg, f, e.source_ref])
+        items.setdefault(e.item, len(items))
+        if id(e.factor) not in factor_of:
+            value, provenance = e.factor.per_kg_co2e, e.factor.provenance
+            f = factors.setdefault((repr(value), provenance), len(factor_rows))
+            if f == len(factor_rows):
+                factor_rows.append([value, provenance])
+            factor_of[id(e.factor)] = f
+    edges = graph.edges
+    edge_rows = ([[position[e.source], position[e.target], items[e.item], e.mass_kg,
+                   factor_of[id(e.factor)], e.source_ref] for e in batch]
+                 for batch in _slices(edges))
     doc = {
         "format": "supply-graph",
         "version": GRAPH_JSON_VERSION,
@@ -189,12 +214,12 @@ def _graph_json_chunks(graph, report, opts):
         },
         "items": list(items),
         "factors": factor_rows,
-        "edges": edges,
+        "edges": edge_rows,
     }
     strings = [position, doc["nodes"]["display_name"], items, [p for _, p in factor_rows],
-               [e.source_ref for e in graph.edges if e.source_ref is not None]]
-    if any(e.edge_id != f"e{i:06d}" for i, e in enumerate(graph.edges, 1)):
-        doc["edge_ids"] = [e.edge_id for e in graph.edges]
+               (e.source_ref for e in edges if e.source_ref is not None)]
+    if any(e.edge_id != f"e{i:06d}" for i, e in enumerate(edges, 1)):
+        doc["edge_ids"] = [e.edge_id for e in edges]
         strings.append(doc["edge_ids"])
     if report is not None:
         doc["report"] = report.to_dict()
@@ -288,37 +313,34 @@ def import_graph_json(path: str) -> SupplyGraph:
 _NODE_COLUMNS = ("id", "display_name", "direct_emissions_kg")
 
 
-def _type_name(value) -> str:
-    return type(value).__name__
-
-
 def _node_fault(nid, name, kg) -> str:
     """Why a version-2 node row failed the reader's type tests."""
     for key, value in (("id", nid), ("display_name", name)):
         if type(value) is not str:
-            return f"{key!r} must be a string, got {_type_name(value)}"
-    return f"direct_emissions_kg must be a number, got {_type_name(kg)}"
+            return f"{key!r} must be a string, got {type(value).__name__}"
+    return f"direct_emissions_kg must be a number, got {type(kg).__name__}"
 
 
 def _edge_fault(e, sizes: dict[str, int]) -> str:
     """Why a version-2 edge array failed the reader's type and range tests."""
     if type(e) is not list or len(e) != 6:
-        got = f"{len(e)} values" if type(e) is list else _type_name(e)
+        got = f"{len(e)} values" if type(e) is list else type(e).__name__
         return f"expected an array [source, target, item, mass_kg, factor, source_ref], got {got}"
     for pos, name in ((0, "source"), (1, "target"), (2, "item"), (4, "factor")):
         if type(e[pos]) is not int:
-            return f"{name} index must be an integer, got {_type_name(e[pos])}"
+            return f"{name} index must be an integer, got {type(e[pos]).__name__}"
         if not 0 <= e[pos] < sizes[name]:
             return f"{name} index {e[pos]} out of range [0, {sizes[name]})"
     if type(e[3]) is not float and type(e[3]) is not int:
-        return f"mass_kg must be a number, got {_type_name(e[3])}"
-    return f"source_ref must be a string or null, got {_type_name(e[5])}"
+        return f"mass_kg must be a number, got {type(e[3]).__name__}"
+    return f"source_ref must be a string or null, got {type(e[5]).__name__}"
 
 
 def _v2_list(path: str, doc: dict, key: str, where: str | None = None):
     value = doc.get(key, [])
     if type(value) is not list:
-        raise StoreFormatError(f"{path}: {where or key}: expected a list, got {_type_name(value)}")
+        raise StoreFormatError(
+            f"{path}: {where or key}: expected a list, got {type(value).__name__}")
     return value
 
 
@@ -333,7 +355,7 @@ def _import_v2(path: str, doc: dict) -> SupplyGraph:
     """
     columns = doc.get("nodes", {})
     if type(columns) is not dict:
-        raise StoreFormatError(f"{path}: nodes: expected an object, got {_type_name(columns)}")
+        raise StoreFormatError(f"{path}: nodes: expected an object, got {type(columns).__name__}")
     ids, names, direct = (_v2_list(path, columns, key, f"nodes.{key}") for key in _NODE_COLUMNS)
     items, factor_rows, edges = (_v2_list(path, doc, key) for key in ("items", "factors", "edges"))
     edge_ids = doc.get("edge_ids")
@@ -350,18 +372,18 @@ def _import_v2(path: str, doc: dict) -> SupplyGraph:
     for i, item in enumerate(items):
         if type(item) is not str:
             raise StoreFormatError(
-                f"{path}: items[{i}]: item must be a string, got {_type_name(item)}")
+                f"{path}: items[{i}]: item must be a string, got {type(item).__name__}")
     factors = []
     for i, row in enumerate(factor_rows):
         try:
             if type(row) is not list or len(row) != 2:
-                got = f"{len(row)} values" if type(row) is list else _type_name(row)
+                got = f"{len(row)} values" if type(row) is list else type(row).__name__
                 raise ValueError(f"expected an array [per_kg_co2e, provenance], got {got}")
             value, provenance = row
             if type(value) is not float and type(value) is not int:
-                raise ValueError(f"per_kg_co2e must be a number, got {_type_name(value)}")
+                raise ValueError(f"per_kg_co2e must be a number, got {type(value).__name__}")
             if type(provenance) is not str:
-                raise ValueError(f"provenance must be a string, got {_type_name(provenance)}")
+                raise ValueError(f"provenance must be a string, got {type(provenance).__name__}")
             factors.append(EmissionFactor(float(value), provenance))
         except (ValueError, OverflowError) as exc:
             raise StoreFormatError(f"{path}: factors[{i}]: {exc}") from exc
@@ -395,7 +417,7 @@ def _import_v2(path: str, doc: dict) -> SupplyGraph:
             if edge_ids is not None:
                 edge_id = edge_ids[i]
                 if type(edge_id) is not str:
-                    raise ValueError(f"'edge_id' must be a string, got {_type_name(edge_id)}")
+                    raise ValueError(f"'edge_id' must be a string, got {type(edge_id).__name__}")
             add_edge(ids[s], ids[t], items[it], float(mass), factors[f], edge_id, ref)
         except (ValueError, OverflowError, DuplicateIdError) as exc:
             raise StoreFormatError(f"{path}: edges[{i}]: {exc}") from exc
