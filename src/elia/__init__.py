@@ -48,7 +48,7 @@ from .graph import (
     propagate,
     query,
 )
-from .evalkit import FieldMetrics, MatchOutcome, match_field, render_metrics_table, score, split
+from .evalkit import FieldMetrics, MatchOutcome, match_field, render_metrics_table, score
 from .exporter import ExportOptions, export, import_graph_json
 
 __version__ = "0.1.0"
@@ -103,5 +103,4 @@ __all__ = [
     "save_store",
     "score",
     "segment",
-    "split",
 ]

@@ -25,6 +25,11 @@ elia reads an omitted ``role_hint`` as ``"unknown"``, which nothing here reads.
 Input files are read here: ``read_text`` (transcripts; ``read_lines`` splits
 gazetteer and config files, ``#`` starting a comment), ``read_json`` and
 ``read_ndjson``. Each names the first line that is not UTF-8 (``utf8_error``).
+Both JSON readers call the scanner ``json.loads`` runs on one value at a
+time: ``read_json`` can hand a caller the elements of a top-level array one
+by one (``stream``), and ``read_ndjson`` skips ``json.loads``'s whitespace
+handling for a line that holds one value and its newline. Any other text
+goes through ``json.loads``, so results and messages are ``json``'s.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import date
+from json.decoder import WHITESPACE, JSONDecodeError, scanstring
 from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 
 try:
     from _sha2 import sha256
@@ -59,6 +66,13 @@ def content_hash(*parts: object, prefix: str = "", length: int = 16) -> str:
     """
     payload = "[" + ",".join([encode_basestring_ascii(str(p)) for p in parts]) + "]"
     return prefix + sha256(payload.encode("utf-8")).hexdigest()[:length]
+
+
+def _exact_int(name: str, value: int) -> int:
+    """``value`` if it is an ``int`` and not a ``bool``; ``int()`` would turn 2.7 into 2."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return value
 
 
 def check_amount(name: str, value: float) -> None:
@@ -173,22 +187,106 @@ def read_lines(path: str, error: type[Exception]):
             yield lineno, text
 
 
-def read_json(path: str, error: type[Exception], what: str) -> dict:
+def read_json(path: str, error: type[Exception], what: str, stream=None) -> dict:
     """The JSON object in ``path``, the one reader of whole-file JSON documents.
 
     A file that is not UTF-8 or not JSON raises ``error`` naming
     ``path:lineno``, a top level that is not an object ``error`` naming ``path``.
+
+    ``stream(doc, key)``, when given, is asked before each top-level member
+    whose value is an array, with the members read before it. It returns
+    None, and the value is decoded whole, or ``(each, value)``: each element
+    is then decoded on its own, passed to ``each(i, element)`` and dropped,
+    and ``doc[key]`` becomes ``value``. The document is decoded whole
+    instead, as if there were no ``stream``, when the text is not one
+    well-formed object with distinct keys, or when ``stream`` or ``each``
+    raises ``error``; the caller's own checks then give the result, or the
+    error, that they give without streaming.
     """
+    text = read_text(path, error)
+    if stream is not None:
+        try:
+            return _read_members(text, stream)
+        except (StopIteration, IndexError, JSONDecodeError, error):
+            pass
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}: malformed {what}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise utf8_error(path, error) from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: malformed {what}: not a JSON object")
     return doc
+
+
+# The scanner json.loads runs, called here on one value at a time. It raises
+# StopIteration where no value starts, and so do the walks below wherever
+# json.loads must decide: a syntax error, a repeated key or extra data.
+_scan_json = make_scanner(json.JSONDecoder())
+_skip_space = WHITESPACE.match
+_JSON_SPACE = " \t\n\r"
+
+
+def _read_members(text: str, stream) -> dict:
+    """The object ``text`` holds, read one top-level member at a time (``read_json``)."""
+    idx = _skip_space(text, 0).end()
+    if text[idx] != "{":
+        raise StopIteration(idx)
+    doc = {}
+    idx = _skip_space(text, idx + 1).end()
+    if text[idx] != "}":
+        while True:
+            if text[idx] != '"':
+                raise StopIteration(idx)
+            key, idx = scanstring(text, idx + 1)
+            if key in doc:
+                raise StopIteration(idx)
+            idx = _skip_space(text, idx).end()
+            if text[idx] != ":":
+                raise StopIteration(idx)
+            idx = _skip_space(text, idx + 1).end()
+            streamed = stream(doc, key) if text[idx] == "[" else None
+            if streamed is None:
+                doc[key], idx = _scan_json(text, idx)
+            else:
+                each, doc[key] = streamed
+                idx = _stream_array(text, idx, each)
+            idx = _skip_space(text, idx).end()
+            if text[idx] != ",":
+                break
+            idx = _skip_space(text, idx + 1).end()
+        if text[idx] != "}":
+            raise StopIteration(idx)
+    if _skip_space(text, idx + 1).end() != len(text):
+        raise StopIteration(idx)
+    return doc
+
+
+def _stream_array(text: str, idx: int, each) -> int:
+    """Pass each element of the array at ``text[idx]`` to ``each(i, element)``; the index after it.
+
+    Only the element being built is held. Separators are stepped over with
+    character tests, which cost less per element than a regex match.
+    """
+    scan, space = _scan_json, _JSON_SPACE
+    idx += 1
+    while text[idx] in space:
+        idx += 1
+    if text[idx] != "]":
+        i = 0
+        while True:
+            element, idx = scan(text, idx)
+            each(i, element)
+            i += 1
+            while text[idx] in space:
+                idx += 1
+            if text[idx] != ",":
+                break
+            idx += 1
+            while text[idx] in space:
+                idx += 1
+        if text[idx] != "]":
+            raise StopIteration(idx)
+    return idx + 1
 
 
 def read_ndjson(path: str, error: type[Exception], what: str = "row",
@@ -199,16 +297,27 @@ def read_ndjson(path: str, error: type[Exception], what: str = "row",
     or not JSON, a row that is not an object, or a row without a field of
     ``required`` (field name -> type) raises ``error`` naming
     ``path:lineno``, so the caller picks the exit code.
+
+    A line is decoded by the json scanner alone when it holds one value
+    from its first character to its newline; any other line (leading or
+    trailing space, a syntax error) goes through ``json.loads``, whose
+    result or message it keeps.
     """
+    scan = _scan_json
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise error(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+                    row, end = scan(line, 0)
+                except (StopIteration, JSONDecodeError):
+                    end = 0
+                if end != len(line) and line[end:] != "\n":
+                    try:
+                        row = json.loads(line)
+                    except JSONDecodeError as exc:
+                        raise error(f"{path}:{lineno}: malformed {what}: {exc}") from exc
                 if not isinstance(row, dict):
                     raise error(f"{path}:{lineno}: malformed {what}: not a JSON object")
                 for key, kind in (required or {}).items():
@@ -313,7 +422,7 @@ class ShipmentRecord:
             shipper=CompanyRef.from_dict(d["shipper"], "shipper"),
             consignee=CompanyRef.from_dict(d["consignee"], "consignee"),
             product_desc=d["product_desc"],
-            quantity=int(d["quantity"]),
+            quantity=_exact_int("quantity", d["quantity"]),
             weight_kg=float(d["weight_kg"]),
             shipper_address=d.get("shipper_address"),
             consignee_address=d.get("consignee_address"),

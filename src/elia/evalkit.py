@@ -8,7 +8,6 @@ never hallucinates a value for a null gold slot.
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -116,16 +115,6 @@ def score(
     for f in FIELDS:
         metrics[f].finalize(gold_non_null[f])
     return metrics
-
-
-def split(items: list, ratio: float, seed: int) -> tuple[list, list]:
-    """Deterministic shuffle-split: round(ratio * n) items in the first set."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must be strictly between 0 and 1")
-    shuffled = list(items)
-    random.Random(seed).shuffle(shuffled)
-    cut = round(ratio * len(shuffled))
-    return shuffled[:cut], shuffled[cut:]
 
 
 def render_metrics_table(metrics: dict[str, FieldMetrics]) -> str:

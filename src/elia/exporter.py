@@ -16,7 +16,11 @@ and fifth values index the node columns and the tables, and whose
 from (``null`` when unknown). ``edge_ids`` is written only when the ids are
 not ``add_edge``'s sequence ``e000001…``, and ``report`` only when a report
 is exported. ``import_graph_json`` also reads version 1, where each edge is
-an object that spells out its ids; its edges get no ``source_ref``.
+an object that spells out its ids; its edges get no ``source_ref``. A
+version-1 ``edges`` array that follows ``format``, ``version`` and
+``nodes`` is decoded one element at a time, each built into its edge and
+dropped, so the decoded document (several times the file's size) is never
+held whole; any other file is decoded whole and built by the same code.
 
 GEXF and DOT are written from text templates, one element at a time, and
 streamed to the file in chunks of a few hundred lines, so the whole
@@ -242,8 +246,17 @@ def _require_strings(row: dict, keys: tuple[str, ...]) -> None:
 
 @no_gc()
 def import_graph_json(path: str) -> SupplyGraph:
-    """Rebuild a graph from a graph_json file, version 1 or 2; exact inverse of export."""
-    doc = read_json(path, StoreFormatError, "JSON")
+    """Rebuild a graph from a graph_json file, version 1 or 2; exact inverse of export.
+
+    The edges of a version-1 file are read and built one at a time when
+    ``format``, ``version`` and ``nodes`` come before them (``read_json``'s
+    ``stream``), so its decoded document is never held whole. Any other
+    file, and any file with a fault, is decoded whole and built by the same
+    code, which gives the same graph or error.
+    """
+    doc = read_json(path, StoreFormatError, "JSON", functools.partial(_stream_v1_edges, path))
+    if type(doc.get("edges")) is SupplyGraph:
+        return doc["edges"]
     if doc.get("format") != "supply-graph":
         raise StoreFormatError(f"{path}: not a supply-graph document")
     if doc.get("version") == GRAPH_JSON_VERSION:
@@ -256,16 +269,42 @@ def import_graph_json(path: str) -> SupplyGraph:
     for key, value in (("nodes", nodes), ("edges", edges)):
         if not isinstance(value, list):
             raise StoreFormatError(f"{path}: {key}: expected a list, got {type(value).__name__}")
+    graph, add = _v1_graph(path, nodes)
+    # Each decoded row is dropped from its list once its edge is built, so
+    # the document and the graph are not both held in full.
+    for i in range(len(edges)):
+        e, edges[i] = edges[i], None
+        add(i, e)
+    return graph
+
+
+def _stream_v1_edges(path: str, doc: dict, key: str):
+    """``read_json``'s ``stream``: version-1 ``edges`` go to ``_v1_graph``'s builder.
+
+    Only ``edges`` that follow a version-1 ``format``, ``version`` and a
+    ``nodes`` list stream; ``doc["edges"]`` then becomes the graph. The
+    checks that come before the edges' own have passed by then, so a file
+    that streams meets every check in the same order as one decoded whole.
+    """
+    if (key != "edges" or doc.get("format") != "supply-graph" or doc.get("version") != 1
+            or type(doc.get("nodes")) is not list):
+        return None
+    graph, add = _v1_graph(path, doc["nodes"])
+    return add, graph
+
+
+def _v1_graph(path: str, nodes: list):
+    """The graph of version-1 ``nodes``, and ``add(i, e)``, which adds the edge of row ``e``.
+
+    Each node row is dropped from ``nodes`` once its node is built. Edges
+    take each node's own id string and one string per distinct item, not
+    the copies json decoded for every row. A row whose string fields are
+    all exact str passes the cheap tests below; any other row goes through
+    ``_require_strings`` only to raise its error: the first key, in order,
+    that is missing or not a string.
+    """
     graph = SupplyGraph()
-    # Edges take each node's own id string and one string per distinct
-    # item, not the copies json decoded for every row.
     ids: dict[str, str] = {}
-    items: dict[str, str] = {}
-    # A row whose string fields are all exact str passes the cheap tests
-    # below. Any other row goes through _require_strings only to raise its
-    # error: the first key, in order, that is missing or not a string.
-    # Each decoded row is dropped from its list once its node or edge is
-    # built, so the document and the graph are not both held in full.
     for i in range(len(nodes)):
         n, nodes[i] = nodes[i], None
         try:
@@ -284,9 +323,10 @@ def import_graph_json(path: str) -> SupplyGraph:
     # nonzero float is keyed by value; any other value by repr, because
     # 0.0 == -0.0 and both must round-trip.
     factors: dict[tuple, EmissionFactor] = {}
+    items: dict[str, str] = {}
     node_id, shared_item, add_edge = ids.get, items.setdefault, graph.add_edge
-    for i in range(len(edges)):
-        e, edges[i] = edges[i], None
+
+    def add(i: int, e) -> None:
         try:
             if type(e) is not dict:
                 _require_strings(e, _V1_EDGE_STRINGS)
@@ -307,7 +347,8 @@ def import_graph_json(path: str) -> SupplyGraph:
         except (KeyError, TypeError, ValueError, OverflowError, NodeNotFoundError,
                 DuplicateIdError) as exc:
             raise StoreFormatError(f"{path}: edges[{i}]: {exc}") from exc
-    return graph
+
+    return graph, add
 
 
 _NODE_COLUMNS = ("id", "display_name", "direct_emissions_kg")

@@ -847,6 +847,18 @@ def test_store_in_the_old_row_shape_loads_builds_and_resolves_unchanged(tmp_path
                  '{"shipper": {"raw_name": "A"}, "consignee": {"raw_name": "B"}, '
                  '"product_desc": "WINE", "quantity": Infinity, "weight_kg": 1.0}\n',
                  2, ":1: bad row ", id="store-records-infinite-quantity"),
+    pytest.param(["resolve"], "store/records.ndjson",
+                 '{"shipper": {"raw_name": "A"}, "consignee": {"raw_name": "B"}, '
+                 '"product_desc": "WINE", "quantity": 2.7, "weight_kg": 1.0}\n',
+                 2, ":1: bad row {'shipper': {'raw_name': 'A'}, 'consignee': {'raw_name': 'B'}, "
+                 "'product_desc': 'WINE', 'quantity': 2.7, 'weight_kg': 1.0}: "
+                 "quantity must be an integer, got float", id="store-records-fractional-quantity"),
+    pytest.param(["resolve"], "store/records.ndjson",
+                 '{"shipper": {"raw_name": "A"}, "consignee": {"raw_name": "B"}, '
+                 '"product_desc": "WINE", "quantity": true, "weight_kg": 1.0}\n',
+                 2, ":1: bad row {'shipper': {'raw_name': 'A'}, 'consignee': {'raw_name': 'B'}, "
+                 "'product_desc': 'WINE', 'quantity': True, 'weight_kg': 1.0}: "
+                 "quantity must be an integer, got bool", id="store-records-boolean-quantity"),
     pytest.param(["resolve"], "store/sentences.ndjson",
                  '{"transcript_id": "t", "index": 1e400, "text": "x"}\n',
                  2, ":1: bad row ", id="store-sentences-infinite-index"),

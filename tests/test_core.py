@@ -7,14 +7,15 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import elia
-from elia.core import check_amount, content_hash, no_gc, replace_file
+from elia.core import check_amount, content_hash, no_gc, read_json, read_ndjson, replace_file
 from elia.resolution import canonical_id_for
 
 
@@ -201,3 +202,118 @@ def test_hashlib_fallback_gives_the_same_ids():
     assert used_hashlib
     assert hashes == [content_hash(*p, prefix="r") for p in _HASH_PARTS]
     assert ids == [canonical_id_for(f) for f in _FORMS]
+
+
+class _DocError(Exception):
+    pass
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the message of the ``_DocError`` it raises."""
+    try:
+        return read()
+    except _DocError as exc:
+        return f"error: {exc}"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=st.dictionaries(st.sampled_from(["a", "b", "edges", "", "\u00e9"]), _JSON_VALUES,
+                        max_size=5),
+    separators=st.sampled_from([(",", ":"), (", ", ": "), (" ,\n\t", "\r: ")]),
+    edit=st.sampled_from(["none", "truncate", "repeat-key", "extra-data", "array", "bom",
+                          "padding"]),
+    cut=st.integers(min_value=0),
+    fail_at=st.none() | st.integers(min_value=0, max_value=3),
+)
+def test_read_json_streamed_arrays_read_what_json_reads(doc, separators, edit, cut, fail_at):
+    text = json.dumps(doc, separators=separators)
+    text = {
+        "none": text,
+        "truncate": text[:cut % (len(text) + 1)],
+        "repeat-key": text[:-1] + (", " if doc else "") + '"a": [1, {"b": [2]}]}',
+        "extra-data": text + " []",
+        "array": json.dumps(list(doc.values())),
+        "bom": "\ufeff" + text,
+        "padding": "\r\n " + text + " \t\n",
+    }[edit]
+
+    def stream(doc, key):
+        elements = []
+
+        def each(i, element):
+            if i == fail_at:
+                raise _DocError(f"element {i}")
+            elements.append(element)
+
+        return each, elements
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        whole = _outcome(lambda: read_json(path, _DocError, "doc"))
+        assert whole == _outcome(lambda: read_json(path, _DocError, "doc", stream))
+        assert whole == _outcome(lambda: read_json(path, _DocError, "doc", lambda d, k: None))
+    if isinstance(whole, str):
+        assert whole.startswith(f"error: {path}")
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": [1}}', '{"a": [1]]', '{"a": [1,]}', '{"a": [1 2]}', '{"a": [1], }', '{"a" [1]}',
+    '{"a": [1]} x', '{"a": [1]}}', '{"a": [1]', '{"a": [', '{"a": []', '{,}', '{"a": [1] "b": 2}',
+    '{"a": [1]\n,\t"b": [[]]\r}', '{"a": [1], "a": [2]}', '{}', ' {"a": []} ', '[1]', '', ' ',
+])
+def test_read_json_streamed_arrays_read_what_json_reads_in_edge_cases(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+
+    def stream(doc, key):
+        elements = []
+        return (lambda i, element: elements.append(element)), elements
+
+    whole = _outcome(lambda: read_json(str(path), _DocError, "doc"))
+    assert whole == _outcome(lambda: read_json(str(path), _DocError, "doc", stream))
+
+
+_LINE_PADDING = st.sampled_from(["", " ", "\t", "\r", "\x0b", "\u00a0", "x", "{}"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_LINE_PADDING, _JSON_VALUES | st.dictionaries(st.text(max_size=3),
+                                                                        _JSON_VALUES),
+                          _LINE_PADDING, st.integers(min_value=0)), max_size=5),
+       st.booleans())
+def test_read_ndjson_reads_each_line_as_json_loads_does(lines, final_newline):
+    text = "\n".join(before + json.dumps(value)[:cut] + after
+                     for before, value, after, cut in lines)
+    text += "\n" if final_newline else ""
+
+    def expected(path):
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise _DocError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            if not isinstance(row, dict):
+                raise _DocError(f"{path}:{lineno}: malformed row: not a JSON object")
+            yield lineno, row
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.ndjson")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert (_outcome(lambda: list(read_ndjson(path, _DocError)))
+                == _outcome(lambda: list(expected(path))))

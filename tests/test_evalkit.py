@@ -16,7 +16,6 @@ from elia.evalkit import (
     metrics_to_dict,
     render_metrics_table,
     score,
-    split,
 )
 
 
@@ -155,42 +154,6 @@ def test_score_counting_identity_random():
             assert m.tp + m.fn == gold_non_null
             for value in (m.precision, m.recall, m.f1, m.accuracy):
                 assert 0.0 <= value <= 1.0
-
-
-def test_split_basic():
-    examples, test = split(list(range(10)), 0.8, seed=7)
-    assert len(examples) == 8 and len(test) == 2
-    assert set(examples) | set(test) == set(range(10))
-    assert set(examples) & set(test) == set()
-
-
-def test_split_deterministic():
-    assert split(list(range(10)), 0.8, seed=7) == split(list(range(10)), 0.8, seed=7)
-    assert split(list(range(10)), 0.8, seed=7) != split(list(range(10)), 0.8, seed=8)
-
-
-def test_split_29_items_is_23_6():
-    examples, test = split(list(range(29)), 0.8, seed=0)
-    assert (len(examples), len(test)) == (23, 6)
-
-
-def test_split_partition_property():
-    rng = random.Random(31)
-    for _ in range(25):
-        n = rng.randint(0, 40)
-        items = [f"x{i}" for i in range(n)]
-        if n == 0:
-            assert split(items, 0.5, seed=1) == ([], [])
-            continue
-        ratio = rng.choice([0.2, 0.5, 0.8])
-        left, right = split(items, ratio, rng.randrange(1000))
-        assert sorted(left + right) == sorted(items)
-        assert len(left) == round(ratio * n)
-
-
-def test_split_rejects_bad_ratio():
-    with pytest.raises(ValueError):
-        split([1], 1.0, seed=0)
 
 
 def test_render_metrics_table_alignment():

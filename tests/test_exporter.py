@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import collections.abc
 import gc
+import json
 import math
 import random
 import re
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -382,6 +384,84 @@ def test_imported_edges_share_node_id_and_item_strings(tmp_path, write):
         assert edge.source is back.nodes[edge.source].canonical_id
         assert edge.target is back.nodes[edge.target].canonical_id
     assert len({id(e.item) for e in back.edges}) == len({e.item for e in back.edges})
+
+
+def _v1_doc(graph):
+    return json.loads(oracle_graph_json(graph, None, ExportOptions()))
+
+
+def _reordered(doc, *keys):
+    return json.dumps({key: doc[key] for key in keys})
+
+
+def _edges_given_twice(doc):
+    """The document with a first ``edges`` (the edges reversed) that a second one replaces."""
+    first = dict(doc, edges=doc["edges"][::-1])
+    return json.dumps(first)[:-1] + ', "edges": ' + json.dumps(doc["edges"]) + "}"
+
+
+@pytest.mark.parametrize("layout", [
+    pytest.param(lambda doc: json.dumps(doc, indent=2), id="indent-2"),
+    pytest.param(lambda doc: json.dumps(doc, separators=(",", ":")), id="compact"),
+    pytest.param(lambda doc: " \n" + json.dumps(doc, separators=(" ,\r\n\t", "\n: ")) + "\n\n",
+                 id="spaced"),
+    pytest.param(lambda doc: _reordered(doc, "format", "version", "directed", "edges", "nodes"),
+                 id="edges-before-nodes"),
+    pytest.param(lambda doc: _reordered(doc, "directed", "nodes", "edges", "format", "version"),
+                 id="format-and-version-last"),
+    pytest.param(_edges_given_twice, id="edges-key-repeated"),
+])
+def test_graph_json_v1_layouts_import_to_the_same_graph(tmp_path, layout):
+    graph = random_multigraph(random.Random(11), max_nodes=6, max_edges=40)
+    path = tmp_path / "g.json"
+    path.write_text(layout(_v1_doc(graph)), encoding="utf-8")
+    back = import_graph_json(str(path))
+    assert back == graph
+    for edge in back.edges:
+        assert edge.source is back.nodes[edge.source].canonical_id
+        assert edge.target is back.nodes[edge.target].canonical_id
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("version", 99, "unsupported graph_json version 99"),
+    ("format", "other", "not a supply-graph document"),
+])
+def test_graph_json_v1_key_repeated_after_edges_is_read_as_json_reads_it(tmp_path, key, value,
+                                                                         reason):
+    graph = random_multigraph(random.Random(11), max_nodes=6, max_edges=40)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_v1_doc(graph))[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}")
+    with pytest.raises(StoreFormatError, match=f"^{re.escape(str(path))}: {reason}$"):
+        import_graph_json(str(path))
+
+
+def test_graph_json_v1_bad_edge_in_a_truncated_file_is_malformed_json(tmp_path):
+    graph = random_multigraph(random.Random(11), max_nodes=6, max_edges=40)
+    doc = _v1_doc(graph)
+    doc["edges"][0]["target"] = "no such node"
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc)[:-40])
+    with pytest.raises(StoreFormatError) as err:
+        import_graph_json(str(path))
+    assert f"{path}:1: malformed JSON: " in str(err.value)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StoreFormatError, match=r"edges\[0\]: unknown edge target: no such node"):
+        import_graph_json(str(path))
+
+
+def test_graph_json_v1_import_peak_memory_is_bounded_by_file_size(tmp_path):
+    # The benchmark's layout. Decoding the whole document peaks above 4x the
+    # file's size; building the edges one at a time stays below 2.5x.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_v1_doc(_large_graph())))
+    tracemalloc.start()
+    try:
+        graph = import_graph_json(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.edges) == 20000
+    assert peak < 3 * path.stat().st_size
 
 
 def _large_graph(n_nodes=2000, n_edges=20000):
