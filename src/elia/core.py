@@ -27,13 +27,17 @@ gazetteer and config files, ``#`` starting a comment), ``read_json`` and
 ``read_ndjson``. Each names the first line that is not UTF-8 (``utf8_error``).
 Both JSON readers call the scanner ``json.loads`` runs on one value at a
 time: ``read_json`` can hand a caller the elements of a top-level array one
-by one (``stream``), and ``read_ndjson`` skips ``json.loads``'s whitespace
-handling for a line that holds one value and its newline. Any other text
-goes through ``json.loads``, so results and messages are ``json``'s.
+by one (``stream``), reading the file through a sliding window of about
+1 MiB (``_Window``) instead of as one string, and ``read_ndjson`` skips
+``json.loads``'s whitespace handling for a line that holds one value and
+its newline. Any other text goes through ``json.loads``, so results and
+messages are ``json``'s; an integer literal too long for ``int``, a plain
+``ValueError`` in ``json``, is malformed input like any other.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import gc
 import json
@@ -190,29 +194,35 @@ def read_lines(path: str, error: type[Exception]):
 def read_json(path: str, error: type[Exception], what: str, stream=None) -> dict:
     """The JSON object in ``path``, the one reader of whole-file JSON documents.
 
-    A file that is not UTF-8 or not JSON raises ``error`` naming
-    ``path:lineno``, a top level that is not an object ``error`` naming ``path``.
+    A file that is not UTF-8 raises ``error`` naming ``path:lineno``, and so
+    does text that is not JSON; a top level that is not an object, or an
+    integer too long for ``int`` (``json``'s plain ``ValueError``), raises
+    ``error`` naming ``path``.
 
     ``stream(doc, key)``, when given, is asked before each top-level member
     whose value is an array, with the members read before it. It returns
     None, and the value is decoded whole, or ``(each, value)``: each element
     is then decoded on its own, passed to ``each(i, element)`` and dropped,
-    and ``doc[key]`` becomes ``value``. The document is decoded whole
-    instead, as if there were no ``stream``, when the text is not one
-    well-formed object with distinct keys, or when ``stream`` or ``each``
-    raises ``error``; the caller's own checks then give the result, or the
-    error, that they give without streaming.
+    and ``doc[key]`` becomes ``value``. With ``stream`` the file is read
+    through a sliding window (``_Window``), so its whole text is never held.
+    The document is decoded whole instead, as if there were no ``stream``,
+    when the file is not one well-formed UTF-8 object with distinct keys, or
+    when ``stream`` or ``each`` raises ``error``; the caller's own checks
+    then give the result, or the error, that they give without streaming.
     """
-    text = read_text(path, error)
     if stream is not None:
         try:
-            return _read_members(text, stream)
-        except (StopIteration, IndexError, JSONDecodeError, error):
+            with open(path, "rb") as fh:
+                return _read_members(_Window(fh), stream)
+        except (StopIteration, IndexError, ValueError, error):
             pass
+    text = read_text(path, error)
     try:
         doc = json.loads(text)
     except JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}: malformed {what}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise error(f"{path}: malformed {what}: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: malformed {what}: not a JSON object")
     return doc
@@ -225,68 +235,178 @@ _scan_json = make_scanner(json.JSONDecoder())
 _skip_space = WHITESPACE.match
 _JSON_SPACE = " \t\n\r"
 
+# Bytes read_json's streaming path reads at a time: its window, in characters
+# for ASCII text.
+_WINDOW = 1 << 20
 
-def _read_members(text: str, stream) -> dict:
-    """The object ``text`` holds, read one top-level member at a time (``read_json``)."""
-    idx = _skip_space(text, 0).end()
+
+class _Window:
+    """A sliding window over a file's text, for ``read_json``'s ``stream``.
+
+    The file is opened in binary and decoded as UTF-8 a window at a time; a
+    text-mode handle would keep the last chunk it read, raw and decoded,
+    beside the window. Newlines are not translated, as text mode would:
+    JSON reads ``\\r`` as whitespace, and inside a string either form of a
+    line break is an error, which the fallback to ``json.loads`` reports.
+
+    ``text`` holds the part being scanned. A scan that fails, or runs into
+    its end, before end of file is retried from where it started once
+    ``refill`` has read on (``run``), so a value or separator that the
+    window's edge cuts reads as it would whole. Only at end of file is a
+    failure the text's own.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.decode = codecs.getincrementaldecoder("utf-8")().decode
+        self.size = _WINDOW
+        self.text = ""
+        self.refill(0)
+
+    def refill(self, start: int) -> int:
+        """Drop the text before ``start``, read on, and return ``start``'s new index, 0.
+
+        A value that still fails from the window's start doubles the
+        window, so rescanning a value longer than it stays linear; the next
+        slide reads ``_WINDOW`` again. ``limit`` is the index past which a
+        caller slides the window before its next value: an eighth of the
+        window short of its end, or the end at end of file. The caller
+        drops its own reference to ``text`` first, so that the old window is
+        freed before the new one is read.
+        """
+        self.size = self.size * 2 if start == 0 and self.text else _WINDOW
+        rest, self.text = self.text[start:], ""
+        data = self.fh.read(self.size)
+        self.eof = len(data) < self.size
+        more = self.decode(data, self.eof)
+        del data
+        self.text = rest + more
+        self.limit = len(self.text) - (0 if self.eof else self.size // 8)
+        return 0
+
+    def run(self, step, idx: int):
+        """``step(text, idx)``, retried from ``idx`` after ``refill`` while it fails before EOF."""
+        while True:
+            try:
+                return step(self.text, idx)
+            except (StopIteration, IndexError, JSONDecodeError):
+                if self.eof:
+                    raise
+                idx = self.refill(idx)
+
+
+def _next(text: str, idx: int) -> int:
+    """The index of the first character at or after ``idx`` that is not JSON whitespace."""
+    idx = _skip_space(text, idx).end()
+    text[idx]  # IndexError at the window's end: there is no such character yet
+    return idx
+
+
+def _open_object(text: str, idx: int) -> int:
+    idx = _next(text, idx)
     if text[idx] != "{":
         raise StopIteration(idx)
+    return _next(text, idx + 1)
+
+
+def _member_key(text: str, idx: int):
+    """The key at ``text[idx]`` and the index of its value."""
+    if text[idx] != '"':
+        raise StopIteration(idx)
+    key, idx = scanstring(text, idx + 1)
+    idx = _next(text, idx)
+    if text[idx] != ":":
+        raise StopIteration(idx)
+    return key, _next(text, idx + 1)
+
+
+def _member_end(text: str, idx: int) -> int:
+    """The index of the ``,`` or ``}`` that ends a member at ``idx``, after whitespace.
+
+    Any other character fails the step, also where the window's edge cut a
+    number short (``1.`` of ``1.5``), so that it is scanned again whole.
+    """
+    idx = _next(text, idx)
+    if text[idx] != "," and text[idx] != "}":
+        raise StopIteration(idx)
+    return idx
+
+
+def _member_value(text: str, idx: int):
+    """The value at ``text[idx]`` and the index of the ``,`` or ``}`` after it."""
+    value, idx = _scan_json(text, idx)
+    return value, _member_end(text, idx)
+
+
+def _read_members(win: _Window, stream) -> dict:
+    """The object in ``win``'s file, read one top-level member at a time (``read_json``)."""
+    idx = win.run(_open_object, 0)
     doc = {}
-    idx = _skip_space(text, idx + 1).end()
-    if text[idx] != "}":
+    if win.text[idx] != "}":
         while True:
-            if text[idx] != '"':
-                raise StopIteration(idx)
-            key, idx = scanstring(text, idx + 1)
+            key, idx = win.run(_member_key, idx)
             if key in doc:
                 raise StopIteration(idx)
-            idx = _skip_space(text, idx).end()
-            if text[idx] != ":":
-                raise StopIteration(idx)
-            idx = _skip_space(text, idx + 1).end()
-            streamed = stream(doc, key) if text[idx] == "[" else None
+            streamed = stream(doc, key) if win.text[idx] == "[" else None
             if streamed is None:
-                doc[key], idx = _scan_json(text, idx)
+                doc[key], idx = win.run(_member_value, idx)
             else:
                 each, doc[key] = streamed
-                idx = _stream_array(text, idx, each)
-            idx = _skip_space(text, idx).end()
-            if text[idx] != ",":
+                idx = _stream_array(win, idx, each)
+            if win.text[idx] == "}":
                 break
-            idx = _skip_space(text, idx + 1).end()
-        if text[idx] != "}":
-            raise StopIteration(idx)
-    if _skip_space(text, idx + 1).end() != len(text):
+            idx = win.run(_next, idx + 1)
+    idx += 1
+    while _skip_space(win.text, idx).end() == len(win.text) and not win.eof:
+        idx = win.refill(len(win.text))
+    if _skip_space(win.text, idx).end() != len(win.text):
         raise StopIteration(idx)
     return doc
 
 
-def _stream_array(text: str, idx: int, each) -> int:
-    """Pass each element of the array at ``text[idx]`` to ``each(i, element)``; the index after it.
+def _stream_array(win: _Window, idx: int, each) -> int:
+    """Pass each element of the array at ``win.text[idx]`` to ``each(i, element)``.
 
-    Only the element being built is held. Separators are stepped over with
-    character tests, which cost less per element than a regex match.
+    Returns the index of the ``,`` or ``}`` after the array. Only the element
+    being built is held. Separators are stepped over with character tests,
+    which cost less per element than a regex match. The window slides once
+    an element ends past its ``limit``; an element (or the separator after
+    it) that the window's end cuts is scanned again from its start after
+    ``refill``.
     """
     scan, space = _scan_json, _JSON_SPACE
-    idx += 1
-    while text[idx] in space:
-        idx += 1
-    if text[idx] != "]":
-        i = 0
-        while True:
+    idx = win.run(_next, idx + 1)
+    if win.text[idx] == "]":
+        return win.run(_member_end, idx + 1)
+    text, limit, i = win.text, win.limit, 0
+    while True:
+        start = idx
+        try:
             element, idx = scan(text, idx)
+            while text[idx] in space:
+                idx += 1
+            if text[idx] == ",":
+                idx += 1
+                while text[idx] in space:
+                    idx += 1
+            elif text[idx] == "]":
+                limit = -1  # the last element: no test on the common path
+            else:
+                raise StopIteration(idx)
+        except (StopIteration, IndexError, JSONDecodeError):
+            if win.eof:
+                raise
+            idx = start
+        else:
             each(i, element)
             i += 1
-            while text[idx] in space:
-                idx += 1
-            if text[idx] != ",":
-                break
-            idx += 1
-            while text[idx] in space:
-                idx += 1
-        if text[idx] != "]":
-            raise StopIteration(idx)
-    return idx + 1
+            if idx <= limit:
+                continue
+            if limit < 0:
+                return win.run(_member_end, idx + 1)
+        text = None  # so that refill frees the old window before reading the next
+        idx = win.refill(idx)
+        text, limit = win.text, win.limit
 
 
 def read_ndjson(path: str, error: type[Exception], what: str = "row",
@@ -294,9 +414,10 @@ def read_ndjson(path: str, error: type[Exception], what: str = "row",
     """Yield ``(lineno, row)`` for each non-blank line of an ndjson file.
 
     Every line-delimited input goes through here. A line that is not UTF-8
-    or not JSON, a row that is not an object, or a row without a field of
-    ``required`` (field name -> type) raises ``error`` naming
-    ``path:lineno``, so the caller picks the exit code.
+    or not JSON (an integer too long for ``int`` included), a row that is
+    not an object, or a row without a field of ``required`` (field name ->
+    type) raises ``error`` naming ``path:lineno``, so the caller picks the
+    exit code.
 
     A line is decoded by the json scanner alone when it holds one value
     from its first character to its newline; any other line (leading or
@@ -311,12 +432,12 @@ def read_ndjson(path: str, error: type[Exception], what: str = "row",
                     continue
                 try:
                     row, end = scan(line, 0)
-                except (StopIteration, JSONDecodeError):
+                except (StopIteration, ValueError):
                     end = 0
                 if end != len(line) and line[end:] != "\n":
                     try:
                         row = json.loads(line)
-                    except JSONDecodeError as exc:
+                    except ValueError as exc:  # also an integer too long for int
                         raise error(f"{path}:{lineno}: malformed {what}: {exc}") from exc
                 if not isinstance(row, dict):
                     raise error(f"{path}:{lineno}: malformed {what}: not a JSON object")

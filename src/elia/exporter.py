@@ -17,17 +17,21 @@ from (``null`` when unknown). ``edge_ids`` is written only when the ids are
 not ``add_edge``'s sequence ``e000001…``, and ``report`` only when a report
 is exported. ``import_graph_json`` also reads version 1, where each edge is
 an object that spells out its ids; its edges get no ``source_ref``. A
-version-1 ``edges`` array that follows ``format``, ``version`` and
+version-2 file as ``export`` writes it is decoded whole. Any other file is
+read through ``core.read_json``'s sliding window, so its text is never held
+whole: a version-1 ``edges`` array that follows ``format``, ``version`` and
 ``nodes`` is decoded one element at a time, each built into its edge and
 dropped, so the decoded document (several times the file's size) is never
-held whole; any other file is decoded whole and built by the same code.
+held whole either; any other file is decoded whole and built by the same
+code.
 
-GEXF and DOT are written from text templates, one element at a time, and
-streamed to the file in chunks of a few hundred lines, so the whole
-document never exists in memory at once. GEXF bytes are pinned against
-the original ElementTree writer (``tests/oracles.py::oracle_write_gexf``):
-same attribute escaping, two-space indent, ``" />"`` empty tags and no
-final newline; characters XML does not allow become U+FFFD.
+GEXF, DOT and ``report.json`` are written from text templates, one element
+(or report row) at a time, and streamed to the file in chunks of a few
+hundred (``_chunks``), so the whole document never exists in memory at
+once. GEXF bytes are pinned against the original ElementTree writer
+(``tests/oracles.py::oracle_write_gexf``): same attribute escaping,
+two-space indent, ``" />"`` empty tags and no final newline; characters
+XML does not allow become U+FFFD.
 
 Every file written here (graph_json, GEXF, DOT and ``report.json``) goes
 through ``core.replace_file``: a temporary file moved over the target, so an
@@ -235,6 +239,12 @@ def _graph_json_chunks(graph, report, opts):
     yield "\n"
 
 
+# How every version-2 file ``export`` writes begins. ``import_graph_json``
+# decodes such a file whole, as one string: nothing in it streams, and a
+# window would scan each array that outgrew it again. Any other file is read
+# through ``read_json``'s window; both ways give the same graph or error.
+_V2_START = b'{"format":"supply-graph","version":2,'
+
 _V1_EDGE_STRINGS = ("edge_id", "source", "target", "item")
 
 
@@ -254,7 +264,10 @@ def import_graph_json(path: str) -> SupplyGraph:
     file, and any file with a fault, is decoded whole and built by the same
     code, which gives the same graph or error.
     """
-    doc = read_json(path, StoreFormatError, "JSON", functools.partial(_stream_v1_edges, path))
+    with open(path, "rb") as fh:
+        written_v2 = fh.read(len(_V2_START)) == _V2_START
+    stream = None if written_v2 else functools.partial(_stream_v1_edges, path)
+    doc = read_json(path, StoreFormatError, "JSON", stream)
     if type(doc.get("edges")) is SupplyGraph:
         return doc["edges"]
     if doc.get("format") != "supply-graph":
@@ -490,7 +503,8 @@ def load_report_json(path: str) -> ELiabilityReport:
 
 
 def save_report_json(report: ELiabilityReport, path: str) -> None:
-    replace_file(path, [report.to_json(), "\n"])
+    """Write ``report.to_json()`` and a newline to ``path``, a batch of node rows at a time."""
+    replace_file(path, _chunks(report.json_lines(), "\n"))
 
 
 _ATTR_ESCAPES = str.maketrans({

@@ -36,9 +36,10 @@ the positions of its two ends, and the share of a pool passed along each
 edge lives in an ``array('d')`` indexed by edge position. Every sum runs
 in edge order, so the numbers do not depend on this layout.
 
-``ELiabilityReport.to_json`` writes ``report.json`` from string templates,
-byte for byte what ``json.dumps(to_dict(), sort_keys=True, indent=2)``
-gives, including the integer ``0`` that ``sum()`` yields over no edges.
+``ELiabilityReport.json_lines`` yields ``report.json`` a node row at a time
+from string templates; the lines join (``to_json``) to byte for byte what
+``json.dumps(to_dict(), sort_keys=True, indent=2)`` gives, including the
+integer ``0`` that ``sum()`` yields over no edges.
 
 The mass-proportional allocation rule is this library's documented
 convention for multi-hop accounting; only the one-hop computation is
@@ -352,26 +353,36 @@ class ELiabilityReport:
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``, from templates.
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``: ``json_lines`` joined."""
+        return "\n".join(self.json_lines())
+
+    def json_lines(self):
+        """The lines of ``to_json()``, each node's row (six lines) as one, from templates.
 
         Keys are written in sorted order, ids through json's own ASCII string
         encoder and numbers as json writes them (``repr``, with ``NaN`` and
         ``Infinity`` for non-finite floats), so the bytes are the same.
         """
-        rows = ",\n".join(
-            f"    {_json_str(nid)}: {{\n"
-            f'      "direct_kg": {json_number(row.direct_kg)},\n'
-            f'      "inherited_kg": {json_number(row.inherited_kg)},\n'
-            f'      "retained_kg": {json_number(row.retained_kg)},\n'
-            f'      "transferred_kg": {json_number(row.transferred_kg)}\n'
-            f"    }}"
-            for nid, row in sorted(self.nodes.items())
-        )
-        nodes = f"{{\n{rows}\n  }}" if rows else "{}"
-        return (
-            f'{{\n  "mode": {_json_str(self.mode)},\n  "nodes": {nodes},\n'
-            f'  "residual": {json_number(self.residual)}\n}}'
-        )
+        yield "{"
+        yield f'  "mode": {_json_str(self.mode)},'
+        if not self.nodes:
+            yield '  "nodes": {},'
+        else:
+            yield '  "nodes": {'
+            last = len(self.nodes) - 1
+            for k, nid in enumerate(sorted(self.nodes)):
+                row = self.nodes[nid]
+                yield (
+                    f"    {_json_str(nid)}: {{\n"
+                    f'      "direct_kg": {json_number(row.direct_kg)},\n'
+                    f'      "inherited_kg": {json_number(row.inherited_kg)},\n'
+                    f'      "retained_kg": {json_number(row.retained_kg)},\n'
+                    f'      "transferred_kg": {json_number(row.transferred_kg)}\n'
+                    f"    }}{',' if k < last else ''}"
+                )
+            yield "  },"
+        yield f'  "residual": {json_number(self.residual)}'
+        yield "}"
 
     @classmethod
     def from_dict(cls, d: dict) -> "ELiabilityReport":

@@ -306,6 +306,13 @@ def graph_doc_v2(nodes, edges, **fields):
 AB = [("a", 0.0), ("b", 0.0)]
 
 
+def with_integer_too_long(doc, amount):
+    """The JSON text of ``doc`` with its one ``amount`` written as an integer of 5,000 digits."""
+    text = json.dumps(doc)
+    assert text.count(repr(amount)) == 1
+    return text.replace(repr(amount), "1" + "0" * 4999)
+
+
 def overflowing_edge():
     """One edge a->b whose mass and factor are finite but whose product is not."""
     doc = graph_doc([("a", 0.0), ("b", 0.0)], [("e1", "a", "b", 1e200)])
@@ -345,6 +352,9 @@ def overflowing_edge():
                  id="overflowing-liability"),
     pytest.param(graph_doc([("a", 0.0), ("b", 0.0)], [("e1", "a", "b", 10**400)]),
                  ": edges[0]: int too large to convert to float", id="integer-too-large-mass"),
+    pytest.param(with_integer_too_long(graph_doc([("a", 0.0), ("b", 2.5)], []), 2.5),
+                 ": malformed JSON: Exceeds the limit (4300 digits) for integer string conversion",
+                 id="direct-emissions-integer-too-long"),
     pytest.param(graph_doc_v2(AB, [[0, 1, 0, 1.0, 0, None], [0, 2, 0, 1.0, 0, None]]),
                  ": edges[1]: target index 2 out of range [0, 2)", id="v2-index-out-of-range"),
     pytest.param(graph_doc_v2(AB, [[-1, 1, 0, 1.0, 0, None]]),
@@ -403,7 +413,7 @@ def overflowing_edge():
 ])
 def test_malformed_graph_json_names_path_and_index_exits_2(tmp_path, caplog, doc, reason):
     graph = tmp_path / "graph.json"
-    graph.write_text(json.dumps(doc))
+    graph.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     report = tmp_path / "report.json"
     assert run("propagate", "--graph", graph, "--out", report) == 2
     assert f"{graph}{reason}" in caplog.text
@@ -644,6 +654,9 @@ def test_manifest_that_is_not_an_object_exits_2(tmp_path, caplog):
 @pytest.mark.parametrize("content, reason", [
     pytest.param('{\n  "format": ', ":2: malformed {what}: Expecting value", id="truncated"),
     pytest.param("[]\n", ": malformed {what}: not a JSON object", id="not-an-object"),
+    pytest.param('{"mode": "one_hop", "nodes": {}, "residual": 1' + "0" * 4999 + "}\n",
+                 ": malformed {what}: Exceeds the limit (4300 digits) for integer string "
+                 "conversion", id="integer-too-long"),
 ])
 def test_malformed_json_document_names_path_exits_2(tmp_path, caplog, argv, name, what,
                                                     content, reason):
@@ -859,6 +872,11 @@ def test_store_in_the_old_row_shape_loads_builds_and_resolves_unchanged(tmp_path
                  2, ":1: bad row {'shipper': {'raw_name': 'A'}, 'consignee': {'raw_name': 'B'}, "
                  "'product_desc': 'WINE', 'quantity': True, 'weight_kg': 1.0}: "
                  "quantity must be an integer, got bool", id="store-records-boolean-quantity"),
+    pytest.param(["resolve"], "store/records.ndjson",
+                 '{"shipper": {"raw_name": "A"}, "consignee": {"raw_name": "B"}, '
+                 '"product_desc": "WINE", "quantity": 1' + "0" * 4999 + ', "weight_kg": 1.0}\n',
+                 2, ":1: malformed row: Exceeds the limit (4300 digits) for integer string "
+                 "conversion", id="store-records-integer-too-long"),
     pytest.param(["resolve"], "store/sentences.ndjson",
                  '{"transcript_id": "t", "index": 1e400, "text": "x"}\n',
                  2, ":1: bad row ", id="store-sentences-infinite-index"),

@@ -10,11 +10,13 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import elia
+from elia import core
 from elia.core import check_amount, content_hash, no_gc, read_json, read_ndjson, replace_file
 from elia.resolution import canonical_id_for
 
@@ -282,6 +284,113 @@ def test_read_json_streamed_arrays_read_what_json_reads_in_edge_cases(tmp_path, 
 
     whole = _outcome(lambda: read_json(str(path), _DocError, "doc"))
     assert whole == _outcome(lambda: read_json(str(path), _DocError, "doc", stream))
+
+
+class _Streamed(list):
+    """The elements ``read_json`` passed to ``each`` for one streamed array."""
+
+
+def _streaming(doc, key):
+    elements = _Streamed()
+    return (lambda i, element: elements.append(element)), elements
+
+
+def _read_through_window(path, window, stream=_streaming):
+    """``read_json``'s outcome with ``stream`` through a window of ``window`` bytes."""
+    with mock.patch.object(core, "_WINDOW", window):
+        return _outcome(lambda: read_json(path, _DocError, "doc", stream))
+
+
+_KEYS = ["a", "b", "edges", "", "\u00e9"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=st.dictionaries(st.sampled_from(_KEYS), _JSON_VALUES, max_size=5),
+    separators=st.sampled_from([(",", ":"), (", ", ": "), (" ,\r\n\t", "\r\n: ")]),
+    cut=st.none() | st.integers(min_value=0),
+    window=st.integers(min_value=1, max_value=24),
+    declined=st.sets(st.sampled_from(_KEYS)),
+)
+def test_read_json_through_a_small_window_reads_what_json_loads_reads(doc, separators, cut,
+                                                                      window, declined):
+    text = json.dumps(doc, separators=separators)
+    if cut is not None:
+        text = text[:cut % (len(text) + 1)]
+
+    def stream(doc, key):
+        return None if key in declined else _streaming(doc, key)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        whole = _outcome(lambda: read_json(path, _DocError, "doc"))
+        streamed = _read_through_window(path, window, stream)
+    assert streamed == whole  # each element went to each, in order, and nothing else
+    if cut is None:  # a whole document streams each array it is not told to decline
+        assert ({key for key, value in streamed.items() if type(value) is _Streamed}
+                == {key for key, value in doc.items() if type(value) is list} - declined)
+
+
+_LONG_NODES = [{"id": f"n{i}", "display_name": "N"} for i in range(40)]
+_V1_LIKE = json.dumps({"format": "supply-graph", "version": 1, "nodes": _LONG_NODES,
+                       "edges": [[i, "x"] for i in range(20)]})
+_V2_LIKE = json.dumps({"format": "supply-graph", "version": 2,
+                       "nodes": {"id": [node["id"] for node in _LONG_NODES]},
+                       "edges": [[i, 0] for i in range(20)]})
+
+
+# (file content, window in bytes, the arrays that stream, or None for a fault)
+@pytest.mark.parametrize("content, window, streamed", [
+    pytest.param('{"a": [12345, 6]}', 9, {"a"}, id="number-cut-in-an-array"),
+    pytest.param('{"a": 12345, "b": [1]}', 8, {"b"}, id="number-cut-in-a-member"),
+    pytest.param('{"a": 1.5, "b": [1]}', 8, {"b"}, id="member-number-cut-at-its-point"),
+    pytest.param('{"a": [1.5, 2e+10, -3]}', 9, {"a"}, id="number-cut-at-its-point"),
+    pytest.param('{"a": [1.5, 2e+10, -3]}', 15, {"a"}, id="number-cut-in-its-exponent"),
+    pytest.param('{"a": [1.5, 2e+10, -3]}', 20, {"a"}, id="number-cut-at-its-sign"),
+    pytest.param('{"a": ["x\\u00e9y", "\\n"]}', 10, {"a"}, id="escape-cut-after-backslash"),
+    pytest.param('{"a": ["x\\u00e9y", "\\n"]}', 12, {"a"}, id="escape-cut-in-its-digits"),
+    pytest.param('{"a": ["x\\u00e9y", "\\n"]}', 22, {"a"}, id="escape-cut-in-second-string"),
+    pytest.param(b'{"a":\r\n[1,\r\n2]}', 6, {"a"}, id="crlf-cut-in-a-member"),
+    pytest.param(b'{"a":\r\n[1,\r\n2]}', 11, {"a"}, id="crlf-cut-in-an-array"),
+    pytest.param("{\"a\": [\"\u00e9\u00e9\", 1]}", 9, {"a"}, id="utf8-character-cut"),
+    pytest.param(_V1_LIKE, 16, {"edges"}, id="declined-array-several-windows-long"),
+    pytest.param(_V2_LIKE, 16, {"edges"}, id="object-several-windows-long"),
+    pytest.param('{"a": [' + json.dumps(list(range(60))) + ', 5]}', 16, {"a"},
+                 id="element-several-windows-long"),
+    pytest.param('{"a": "' + "x" * 100 + '", "b": [1]}', 16, {"b"},
+                 id="string-several-windows-long"),
+    pytest.param('{"a": [1,' + " " * 300 + '2' + "\n" * 300 + '], "b": 3' + " " * 300 + "}", 32,
+                 {"a"}, id="whitespace-longer-than-the-window"),
+    pytest.param('{"a": [1, 2]}' + " " * 300, 16, {"a"}, id="trailing-whitespace"),
+    pytest.param('{"a": [1, 2]}' + " " * 300 + "x", 16, None, id="extra-data-after-whitespace"),
+    pytest.param('\ufeff{"a": [1]}', 4, None, id="bom"),
+    pytest.param('{"a": [1, 2], "b": [3]' + " " * 100, 16, None, id="truncated-after-array"),
+    pytest.param('{"a": [1,' + " " * 100 + ']}', 16, None, id="trailing-comma-far-from-the-end"),
+])
+def test_read_json_through_a_small_window_in_edge_cases(tmp_path, content, window, streamed):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    whole = _outcome(lambda: read_json(str(path), _DocError, "doc"))
+
+    def stream(doc, key):  # the arrays named stream, the others are declined
+        return _streaming(doc, key) if streamed is None or key in streamed else None
+
+    doc = _read_through_window(str(path), window, stream)
+    assert doc == whole
+    if streamed is None:
+        assert isinstance(whole, str)
+    else:
+        assert {key for key, value in doc.items() if type(value) is _Streamed} == streamed
+
+
+def test_read_json_through_a_window_names_a_byte_that_is_not_utf8_past_the_first(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"a": [1,\n2,\n3,\n' + b"\xff" + b'4]}\n')
+    whole = _outcome(lambda: read_json(str(path), _DocError, "doc"))
+    assert whole.startswith(f"error: {path}:4: not UTF-8: ")
+    assert _read_through_window(str(path), 6) == whole
 
 
 _LINE_PADDING = st.sampled_from(["", " ", "\t", "\r", "\x0b", "\u00a0", "x", "{}"])

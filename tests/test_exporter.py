@@ -394,6 +394,18 @@ def _reordered(doc, *keys):
     return json.dumps({key: doc[key] for key in keys})
 
 
+@pytest.mark.parametrize("indent", [None, 2])
+def test_graph_json_v2_imports_the_same_graph_whole_or_through_the_window(tmp_path, indent):
+    # The writer's own layout is decoded whole; any other goes through the window.
+    graph = random_multigraph(random.Random(11), max_nodes=6, max_edges=40)
+    path = tmp_path / "g.json"
+    export(graph, None, ExportOptions(format="graph_json"), str(path))
+    assert path.read_bytes().startswith(exporter._V2_START)
+    if indent:
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=indent))
+    assert import_graph_json(str(path)) == graph
+
+
 def _edges_given_twice(doc):
     """The document with a first ``edges`` (the edges reversed) that a second one replaces."""
     first = dict(doc, edges=doc["edges"][::-1])
@@ -462,6 +474,53 @@ def test_graph_json_v1_import_peak_memory_is_bounded_by_file_size(tmp_path):
         tracemalloc.stop()
     assert len(graph.edges) == 20000
     assert peak < 3 * path.stat().st_size
+
+
+def test_graph_json_v1_import_holds_no_more_than_its_graph_and_a_window(tmp_path):
+    # The file (5.1 MiB) is read through a window of 1 MiB, so what the import
+    # holds beyond the graph it returns does not grow with the file: 0.76 MiB
+    # here, 5.6 MiB while the file's text was read whole.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_v1_doc(_large_graph())))
+    tracemalloc.start()
+    try:
+        graph = import_graph_json(str(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.edges) == 20000
+    assert path.stat().st_size > 4 * 2**20
+    assert peak - held < 1.5 * 2**20
+
+
+def test_save_report_json_peak_memory_is_a_fraction_of_the_file(tmp_path):
+    rng = random.Random(3)
+    report = ELiabilityReport("full_propagation", 0.0, {
+        f"company-{i:05d}": NodeLiability(*(rng.uniform(0, 1e3) for _ in range(4)))
+        for i in range(20000)
+    })
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        save_report_json(report, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(gexf_cases(), st.integers(1, 3))
+def test_save_report_json_writes_to_json_and_a_newline(case, chunk_lines):
+    graph, report, _ = case
+    report = report or propagate(graph, mode="one_hop")
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exporter, "_CHUNK_LINES", chunk_lines)  # rows cut into several chunks
+        path = Path(tmp, "report.json")
+        save_report_json(report, str(path))
+        assert path.read_bytes() == (report.to_json() + "\n").encode("utf-8")
+    assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2)
 
 
 def _large_graph(n_nodes=2000, n_edges=20000):
