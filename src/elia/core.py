@@ -13,8 +13,9 @@ bytes; it is the fallback for an interpreter built without either module.
 
 Amounts follow one rule, ``check_amount``: finite and ``>= 0`` (a bare
 ``x < 0`` passes NaN). ``ShipmentRecord``, ``EmissionFactor``, ``graph.Node``,
-``graph.Edge`` (its mass, and its liability, which overflows to ``inf`` from
-two large amounts) and ``graph.FactorSampler``'s ``std`` apply it on construction.
+``graph.FactorSampler``'s ``std`` apply it on construction, and
+``graph.SupplyGraph.add_edge`` to an edge's mass and its liability, which
+overflows to ``inf`` from two large amounts.
 
 Store rows leave out what ``from_dict`` restores: a party's ``role_hint``
 equal to its slot (``shipper``, ``consignee``, ``buyer``, ``supplier``), and a
@@ -26,13 +27,14 @@ Input files are read here: ``read_text`` (transcripts; ``read_lines`` splits
 gazetteer and config files, ``#`` starting a comment), ``read_json`` and
 ``read_ndjson``. Each names the first line that is not UTF-8 (``utf8_error``).
 Both JSON readers call the scanner ``json.loads`` runs on one value at a
-time: ``read_json`` can hand a caller the elements of a top-level array one
-by one (``stream``), reading the file through a sliding window of about
-1 MiB (``_Window``) instead of as one string, and ``read_ndjson`` skips
-``json.loads``'s whitespace handling for a line that holds one value and
-its newline. Any other text goes through ``json.loads``, so results and
-messages are ``json``'s; an integer literal too long for ``int``, a plain
-``ValueError`` in ``json``, is malformed input like any other.
+time: ``read_json`` can hand a caller the elements of a top-level array, or
+the members of a top-level object, one by one (``stream``), reading the file
+through a sliding window of about 64 KiB (``_Window``) instead of as one
+string, and ``read_ndjson`` skips ``json.loads``'s whitespace handling for a
+line that holds one value and its newline. Any other text goes through
+``json.loads``, so results and messages are ``json``'s; an integer literal
+too long for ``int``, a plain ``ValueError`` in ``json``, is malformed input
+like any other.
 """
 
 from __future__ import annotations
@@ -191,7 +193,8 @@ def read_lines(path: str, error: type[Exception]):
             yield lineno, text
 
 
-def read_json(path: str, error: type[Exception], what: str, stream=None) -> dict:
+def read_json(path: str, error: type[Exception], what: str, stream=None,
+              objects: bool = False) -> dict:
     """The JSON object in ``path``, the one reader of whole-file JSON documents.
 
     A file that is not UTF-8 raises ``error`` naming ``path:lineno``, and so
@@ -203,7 +206,11 @@ def read_json(path: str, error: type[Exception], what: str, stream=None) -> dict
     whose value is an array, with the members read before it. It returns
     None, and the value is decoded whole, or ``(each, value)``: each element
     is then decoded on its own, passed to ``each(i, element)`` and dropped,
-    and ``doc[key]`` becomes ``value``. With ``stream`` the file is read
+    and ``doc[key]`` becomes ``value``. With ``objects``, ``stream`` is
+    asked about members whose value is an object instead, and each of that
+    object's members goes to ``each(name, value)``, a repeated name again:
+    ``json`` keeps its last value, in its first place, as a dict assignment
+    does. With ``stream`` the file is read
     through a sliding window (``_Window``), so its whole text is never held.
     The document is decoded whole instead, as if there were no ``stream``,
     when the file is not one well-formed UTF-8 object with distinct keys, or
@@ -213,7 +220,7 @@ def read_json(path: str, error: type[Exception], what: str, stream=None) -> dict
     if stream is not None:
         try:
             with open(path, "rb") as fh:
-                return _read_members(_Window(fh), stream)
+                return _read_members(_Window(fh), stream, "{" if objects else "[")
         except (StopIteration, IndexError, ValueError, error):
             pass
     text = read_text(path, error)
@@ -236,8 +243,9 @@ _skip_space = WHITESPACE.match
 _JSON_SPACE = " \t\n\r"
 
 # Bytes read_json's streaming path reads at a time: its window, in characters
-# for ASCII text.
-_WINDOW = 1 << 20
+# for ASCII text. Decoding a window holds it about three times over (bytes,
+# decoded text and the joined window), so it is kept small.
+_WINDOW = 1 << 16
 
 
 class _Window:
@@ -338,8 +346,11 @@ def _member_value(text: str, idx: int):
     return value, _member_end(text, idx)
 
 
-def _read_members(win: _Window, stream) -> dict:
-    """The object in ``win``'s file, read one top-level member at a time (``read_json``)."""
+def _read_members(win: _Window, stream, opener: str) -> dict:
+    """The object in ``win``'s file, read one top-level member at a time (``read_json``).
+
+    ``stream`` is asked about each member whose value starts with ``opener``.
+    """
     idx = win.run(_open_object, 0)
     doc = {}
     if win.text[idx] != "}":
@@ -347,12 +358,12 @@ def _read_members(win: _Window, stream) -> dict:
             key, idx = win.run(_member_key, idx)
             if key in doc:
                 raise StopIteration(idx)
-            streamed = stream(doc, key) if win.text[idx] == "[" else None
+            streamed = stream(doc, key) if win.text[idx] == opener else None
             if streamed is None:
                 doc[key], idx = win.run(_member_value, idx)
             else:
                 each, doc[key] = streamed
-                idx = _stream_array(win, idx, each)
+                idx = _stream_values(win, idx, each)
             if win.text[idx] == "}":
                 break
             idx = win.run(_next, idx + 1)
@@ -364,24 +375,37 @@ def _read_members(win: _Window, stream) -> dict:
     return doc
 
 
-def _stream_array(win: _Window, idx: int, each) -> int:
+def _stream_values(win: _Window, idx: int, each) -> int:
     """Pass each element of the array at ``win.text[idx]`` to ``each(i, element)``.
 
-    Returns the index of the ``,`` or ``}`` after the array. Only the element
+    An object's members go to ``each(name, value)`` instead. Returns the
+    index of the ``,`` or ``}`` after the array or object. Only the element
     being built is held. Separators are stepped over with character tests,
     which cost less per element than a regex match. The window slides once
     an element ends past its ``limit``; an element (or the separator after
     it) that the window's end cuts is scanned again from its start after
     ``refill``.
     """
-    scan, space = _scan_json, _JSON_SPACE
+    members = win.text[idx] == "{"
+    scan, space, close = _scan_json, _JSON_SPACE, "}" if members else "]"
     idx = win.run(_next, idx + 1)
-    if win.text[idx] == "]":
+    if win.text[idx] == close:
         return win.run(_member_end, idx + 1)
     text, limit, i = win.text, win.limit, 0
     while True:
         start = idx
         try:
+            if members:  # the name, and the ":" after it
+                if text[idx] != '"':
+                    raise StopIteration(idx)
+                name, idx = scanstring(text, idx + 1)
+                while text[idx] in space:
+                    idx += 1
+                if text[idx] != ":":
+                    raise StopIteration(idx)
+                idx += 1
+                while text[idx] in space:
+                    idx += 1
             element, idx = scan(text, idx)
             while text[idx] in space:
                 idx += 1
@@ -389,7 +413,7 @@ def _stream_array(win: _Window, idx: int, each) -> int:
                 idx += 1
                 while text[idx] in space:
                     idx += 1
-            elif text[idx] == "]":
+            elif text[idx] == close:
                 limit = -1  # the last element: no test on the common path
             else:
                 raise StopIteration(idx)
@@ -398,7 +422,7 @@ def _stream_array(win: _Window, idx: int, each) -> int:
                 raise
             idx = start
         else:
-            each(i, element)
+            each(name if members else i, element)
             i += 1
             if idx <= limit:
                 continue

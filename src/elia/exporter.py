@@ -35,9 +35,16 @@ XML does not allow become U+FFFD.
 
 Every file written here (graph_json, GEXF, DOT and ``report.json``) goes
 through ``core.replace_file``: a temporary file moved over the target, so an
-interrupted write leaves the previous file whole. ``import_graph_json`` and
-``load_report_json`` build their objects with the cyclic garbage collector
-off (``core.no_gc``); the decoded documents and the graph hold no cycles.
+interrupted write leaves the previous file whole. ``load_report_json`` reads
+``report.json`` through ``read_json``'s window too, each node row built as
+it is decoded. ``import_graph_json`` and ``load_report_json`` build their
+objects with the cyclic garbage collector off (``core.no_gc``); the decoded
+documents and the graph hold no cycles.
+
+The graph keeps its edges as columns (``SupplyGraph``), and every writer and
+reader here works on them directly: node positions, masses and liabilities
+in arrays, one shared string per distinct item and one ``EmissionFactor``
+per distinct factor, and no ``Edge`` object.
 """
 
 from __future__ import annotations
@@ -46,13 +53,14 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import EmissionFactor, no_gc, read_json, replace_file
 from .errors import DuplicateIdError, NodeNotFoundError, StoreFormatError, UsageError
-from .graph import MODES, ELiabilityReport, SupplyGraph
+from .graph import MODES, ELiabilityReport, NodeLiability, SupplyGraph, sequence_id
 
 GRAPH_JSON_VERSION = 2
 
@@ -78,11 +86,9 @@ class ExportOptions:
 def _visible_nodes(graph: SupplyGraph, include_isolates: bool):
     if include_isolates:
         return list(graph.nodes.values())
-    connected = set()
-    for edge in graph.edges:
-        connected.add(edge.source)
-        connected.add(edge.target)
-    return [n for n in graph.nodes.values() if n.canonical_id in connected]
+    connected = set(graph.sources)
+    connected.update(graph.targets)
+    return [n for v, n in enumerate(graph.nodes.values()) if v in connected]
 
 
 def export(
@@ -192,31 +198,35 @@ def _graph_json_chunks(graph, report, opts):
     replaced.
     """
     nodes = _visible_nodes(graph, opts.include_isolates)
-    position = {n.canonical_id: i for i, n in enumerate(nodes)}
-    items: dict[str, int] = {}
+    # The file numbers the nodes it lists; without isolates left out, that is
+    # the graph's own numbering.
+    position: range | list[int] = range(len(nodes))
+    if len(nodes) < len(graph.nodes):
+        position = [-1] * len(graph.nodes)
+        for k, node in enumerate(nodes):
+            position[graph.node_position[node.canonical_id]] = k
+    items = {item: k for k, item in enumerate(dict.fromkeys(graph.items))}
     factors: dict[tuple, int] = {}
     factor_rows = []
     # EmissionFactor is frozen and edges mostly share instances, so each
     # instance is keyed once; the graph keeps it alive, so its id is stable.
     factor_of: dict[int, int] = {}
-    for e in graph.edges:
-        items.setdefault(e.item, len(items))
-        if id(e.factor) not in factor_of:
-            value, provenance = e.factor.per_kg_co2e, e.factor.provenance
-            f = factors.setdefault((repr(value), provenance), len(factor_rows))
-            if f == len(factor_rows):
-                factor_rows.append([value, provenance])
-            factor_of[id(e.factor)] = f
-    edges = graph.edges
-    edge_rows = ([[position[e.source], position[e.target], items[e.item], e.mass_kg,
-                   factor_of[id(e.factor)], e.source_ref] for e in batch]
-                 for batch in _slices(edges))
+    for key, factor in dict(zip(map(id, graph.factors), graph.factors)).items():
+        value, provenance = factor.per_kg_co2e, factor.provenance
+        f = factor_of[key] = factors.setdefault((repr(value), provenance), len(factor_rows))
+        if f == len(factor_rows):
+            factor_rows.append([value, provenance])
+    columns = zip(graph.sources, graph.targets, graph.items, graph.masses, graph.factors,
+                  graph.source_refs)
+    edge_rows = ([[position[s], position[t], items[item], mass, factor_of[id(factor)], ref]
+                  for s, t, item, mass, factor, ref in itertools.islice(columns, _JSON_BATCH)]
+                 for _ in range(0, len(graph.targets), _JSON_BATCH))
     doc = {
         "format": "supply-graph",
         "version": GRAPH_JSON_VERSION,
         "directed": True,
         "nodes": {
-            "id": list(position),
+            "id": [n.canonical_id for n in nodes],
             "display_name": [n.display_name for n in nodes],
             "direct_emissions_kg": [n.direct_emissions_kg for n in nodes],
         },
@@ -224,11 +234,13 @@ def _graph_json_chunks(graph, report, opts):
         "factors": factor_rows,
         "edges": edge_rows,
     }
-    strings = [position, doc["nodes"]["display_name"], items, [p for _, p in factor_rows],
-               (e.source_ref for e in edges if e.source_ref is not None)]
-    if any(e.edge_id != f"e{i:06d}" for i, e in enumerate(edges, 1)):
-        doc["edge_ids"] = [e.edge_id for e in edges]
-        strings.append(doc["edge_ids"])
+    strings = [doc["nodes"]["id"], doc["nodes"]["display_name"], items,
+               [p for _, p in factor_rows], (ref for ref in graph.source_refs if ref is not None)]
+    edge_ids = graph.edge_ids
+    sequence = map(sequence_id, itertools.count(1))
+    if edge_ids is not None and any(map(operator.ne, edge_ids, sequence)):
+        doc["edge_ids"] = edge_ids
+        strings.append(edge_ids)
     if report is not None:
         doc["report"] = report.to_dict()
         strings += [[report.mode], report.nodes]
@@ -310,14 +322,13 @@ def _v1_graph(path: str, nodes: list):
     """The graph of version-1 ``nodes``, and ``add(i, e)``, which adds the edge of row ``e``.
 
     Each node row is dropped from ``nodes`` once its node is built. Edges
-    take each node's own id string and one string per distinct item, not
-    the copies json decoded for every row. A row whose string fields are
-    all exact str passes the cheap tests below; any other row goes through
+    hold node positions and one string per distinct item, not the copies
+    json decoded for every row. A row whose string fields are all exact str
+    passes the cheap tests below; any other row goes through
     ``_require_strings`` only to raise its error: the first key, in order,
     that is missing or not a string.
     """
     graph = SupplyGraph()
-    ids: dict[str, str] = {}
     for i in range(len(nodes)):
         n, nodes[i] = nodes[i], None
         try:
@@ -328,7 +339,6 @@ def _v1_graph(path: str, nodes: list):
             if nid in graph.nodes:
                 raise StoreFormatError(f"{path}: nodes[{i}]: duplicate node id {nid!r}")
             graph.add_node(nid, n["display_name"], float(n["direct_emissions_kg"]))
-            ids[nid] = nid
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StoreFormatError(f"{path}: nodes[{i}]: {exc}") from exc
     # EmissionFactor is frozen, so edges with the same factor share one
@@ -337,7 +347,8 @@ def _v1_graph(path: str, nodes: list):
     # 0.0 == -0.0 and both must round-trip.
     factors: dict[tuple, EmissionFactor] = {}
     items: dict[str, str] = {}
-    node_id, shared_item, add_edge = ids.get, items.setdefault, graph.add_edge
+    shared_item, position = items.setdefault, graph.node_position.get
+    append_edge = graph.append_edge
 
     def add(i: int, e) -> None:
         try:
@@ -355,8 +366,11 @@ def _v1_graph(path: str, nodes: list):
             factor = factors.get(key)
             if factor is None:
                 factor = factors[key] = EmissionFactor.from_dict(raw)
-            add_edge(node_id(source, source), node_id(target, target), shared_item(item, item),
-                     float(e["mass_kg"]), factor, edge_id)
+            mass = float(e["mass_kg"])
+            s, t = position(source), position(target)
+            if s is None or t is None:
+                graph.add_edge(source, target, item, mass, factor)  # raises NodeNotFoundError
+            append_edge(s, t, shared_item(item, item), mass, factor, edge_id)
         except (KeyError, TypeError, ValueError, OverflowError, NodeNotFoundError,
                 DuplicateIdError) as exc:
             raise StoreFormatError(f"{path}: edges[{i}]: {exc}") from exc
@@ -404,7 +418,7 @@ def _import_v2(path: str, doc: dict) -> SupplyGraph:
     Indices must be ints (not bools) in range, amounts ints or floats that
     pass ``check_amount``, strings strings. Each fault is a
     ``StoreFormatError`` naming ``nodes[i]``, ``items[i]``, ``factors[i]``
-    or ``edges[i]``. Edges take each node's own id string and the items
+    or ``edges[i]``. Edges take the node positions as they are and the items
     table's strings, so each distinct string is held once.
     """
     columns = doc.get("nodes", {})
@@ -454,7 +468,7 @@ def _import_v2(path: str, doc: dict) -> SupplyGraph:
             raise StoreFormatError(f"{path}: nodes[{i}]: {exc}") from exc
     n_nodes, n_items, n_factors = len(ids), len(items), len(factors)
     sizes = {"source": n_nodes, "target": n_nodes, "item": n_items, "factor": n_factors}
-    add_edge, edge_id = graph.add_edge, None
+    append_edge, edge_id = graph.append_edge, None
     # Each decoded array is dropped once its edge is built, as in version 1.
     for i in range(len(edges)):
         e, edges[i] = edges[i], None
@@ -472,7 +486,7 @@ def _import_v2(path: str, doc: dict) -> SupplyGraph:
                 edge_id = edge_ids[i]
                 if type(edge_id) is not str:
                     raise ValueError(f"'edge_id' must be a string, got {type(edge_id).__name__}")
-            add_edge(ids[s], ids[t], items[it], float(mass), factors[f], edge_id, ref)
+            append_edge(s, t, items[it], float(mass), factors[f], edge_id, ref)
         except (ValueError, OverflowError, DuplicateIdError) as exc:
             raise StoreFormatError(f"{path}: edges[{i}]: {exc}") from exc
     return graph
@@ -480,9 +494,19 @@ def _import_v2(path: str, doc: dict) -> SupplyGraph:
 
 @no_gc()
 def load_report_json(path: str) -> ELiabilityReport:
-    doc = read_json(path, StoreFormatError, "report")
+    """Read ``report.json`` through ``read_json``'s window, each node row built as it is decoded.
+
+    The ``nodes`` member streams (``_stream_report_rows``), so neither the
+    file's text nor its row dicts are ever held whole. A file with any
+    fault in its rows is decoded whole and read by ``from_dict``, which
+    gives the error it gives without streaming.
+    """
+    rows: dict[str, NodeLiability] = {}
+    doc = read_json(path, StoreFormatError, "report",
+                    functools.partial(_stream_report_rows, rows), objects=True)
     nodes = doc.get("nodes")
-    if not isinstance(nodes, dict) or not all(isinstance(row, dict) for row in nodes.values()):
+    if nodes is not rows and (not isinstance(nodes, dict)
+                              or not all(isinstance(row, dict) for row in nodes.values())):
         raise StoreFormatError(f"{path}: malformed report: 'nodes' must map node ids to objects")
     try:
         report = ELiabilityReport.from_dict(doc)
@@ -500,6 +524,27 @@ def load_report_json(path: str) -> ELiabilityReport:
     except (TypeError, ValueError) as exc:
         raise StoreFormatError(f"{path}: malformed report: {exc}") from exc
     return report
+
+
+def _stream_report_rows(rows: dict, doc: dict, key: str):
+    """``read_json``'s ``stream``: ``nodes`` rows become ``NodeLiability`` rows in ``rows``.
+
+    A row that ``NodeLiability.from_dict`` cannot read raises
+    ``StoreFormatError``, so that ``read_json`` decodes the file whole
+    instead. A repeated node id replaces its row in place, as in ``json``.
+    """
+    if key != "nodes":
+        return None
+
+    def each(nid: str, row) -> None:
+        if type(row) is not dict:
+            raise StoreFormatError(nid)
+        try:
+            rows[nid] = NodeLiability.from_dict(row)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise StoreFormatError(nid) from exc
+
+    return each, rows
 
 
 def save_report_json(report: ELiabilityReport, path: str) -> None:
@@ -562,24 +607,28 @@ def _gexf_lines(graph, report, opts):
     if nodes:
         yield "    </nodes>"
     by_liability = opts.weight_attr == "edge_liability"
-    yield "    <edges>" if graph.edges else "    <edges />"
-    for edge in graph.edges:
+    ids = [attr(nid) for nid in graph.node_ids]
+    edge_ids = (map(sequence_id, itertools.count(1)) if graph.edge_ids is None
+                else map(_attr, graph.edge_ids))
+    yield "    <edges>" if graph.targets else "    <edges />"
+    for edge_id, s, t, item, mass, liability, factor in zip(
+            edge_ids, graph.sources, graph.targets, graph.items, graph.masses, graph.liabilities,
+            graph.factors):
         # the weight attribute repeats one of the two, formatted once
-        mass = f"{edge.mass_kg:.6f}"
-        liability = f"{edge.edge_liability_kg:.6f}"
+        mass, liability = f"{mass:.6f}", f"{liability:.6f}"
         yield (
-            f'      <edge id="{_attr(edge.edge_id)}" source="{attr(edge.source)}" '
-            f'target="{attr(edge.target)}" weight="{liability if by_liability else mass}">\n'
+            f'      <edge id="{edge_id}" source="{ids[s]}" '
+            f'target="{ids[t]}" weight="{liability if by_liability else mass}">\n'
             f"        <attvalues>\n"
-            f'          <attvalue for="10" value="{attr(edge.item)}" />\n'
+            f'          <attvalue for="10" value="{attr(item)}" />\n'
             f'          <attvalue for="11" value="{mass}" />\n'
             f'          <attvalue for="12" value="{liability}" />\n'
-            f'          <attvalue for="13" value="{edge.factor.per_kg_co2e:.6f}" />\n'
-            f'          <attvalue for="14" value="{attr(edge.factor.provenance)}" />\n'
+            f'          <attvalue for="13" value="{factor.per_kg_co2e:.6f}" />\n'
+            f'          <attvalue for="14" value="{attr(factor.provenance)}" />\n'
             f"        </attvalues>\n"
             f"      </edge>"
         )
-    if graph.edges:
+    if graph.targets:
         yield "    </edges>"
     yield "  </graph>"
     yield "</gexf>"
@@ -600,11 +649,11 @@ def _dot_lines(graph, report, opts):
             # \n is the DOT line-break escape, added after quoting the name
             label += f"\\nretained={row.retained_kg:.6f}"
         yield f'  "{quoted(node.canonical_id)}" [label="{label}"];'
-    by_liability = opts.weight_attr == "edge_liability"
-    for edge in graph.edges:
-        weight = edge.edge_liability_kg if by_liability else edge.mass_kg
+    ids = [quoted(nid) for nid in graph.node_ids]
+    weights = graph.liabilities if opts.weight_attr == "edge_liability" else graph.masses
+    for s, t, item, weight in zip(graph.sources, graph.targets, graph.items, weights):
         yield (
-            f'  "{quoted(edge.source)}" -> "{quoted(edge.target)}" '
-            f'[weight="{weight:.6f}", label="{quoted(edge.item)}"];'
+            f'  "{ids[s]}" -> "{ids[t]}" '
+            f'[weight="{weight:.6f}", label="{quoted(item)}"];'
         )
     yield "}"

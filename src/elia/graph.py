@@ -29,12 +29,16 @@ Propagation modes:
   share into and out of it is final by then; ``one_hop`` runs the same
   loop over single nodes without allocating.
 
-Propagation works on integer positions: nodes are numbered in
-``graph.nodes`` order and edges by their index in ``graph.edges``, each
-node keeps the positions of its incoming and outgoing edges, each edge
-the positions of its two ends, and the share of a pool passed along each
-edge lives in an ``array('d')`` indexed by edge position. Every sum runs
-in edge order, so the numbers do not depend on this layout.
+A graph holds its edges as columns (``SupplyGraph``): node positions in
+``array('l')``, masses and liabilities in ``array('d')``, and references to
+shared item strings and factors, with no object per edge; ``graph.edges``
+builds ``Edge`` rows from them only when asked. Propagation works on these
+positions. Each node's incoming and outgoing edges are compressed sparse
+rows (``_Groups``) over the graph's own ``targets`` and ``sources``
+columns: one offset array per node and one array of edge positions, grouped
+by node and in edge order within a node. The share of a pool passed along
+each edge lives in an ``array('d')`` indexed by edge position. Every sum
+runs in edge order, so the numbers do not depend on this layout.
 
 ``ELiabilityReport.json_lines`` yields ``report.json`` a node row at a time
 from string templates; the lines join (``to_json``) to byte for byte what
@@ -49,11 +53,14 @@ standard.
 from __future__ import annotations
 
 import fnmatch
+import itertools
 import math
+import operator
 import random
 import re
 from array import array
 from collections import Counter, defaultdict, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Mapping
@@ -67,6 +74,7 @@ MODES = ("one_hop", "full_propagation")
 ON_CYCLE = ("error", "iterate")
 DEFAULT_TOLERANCE = 1e-9
 MAX_ITERATIONS = 1000
+_INF = math.inf
 
 
 @dataclass(slots=True)
@@ -79,56 +87,239 @@ class Node:
         check_amount("direct_emissions_kg", self.direct_emissions_kg)
 
 
-@dataclass(slots=True)
+def sequence_id(k: int) -> str:
+    """The id ``add_edge`` gives the ``k``-th edge, counted from 1: ``e000001``, …."""
+    return "e%06d" % k
+
+
+# An edge row's fields, in the order rows compare and print.
+_EDGE_FIELDS = ("edge_id", "source", "target", "item", "mass_kg", "factor", "source_ref",
+                "edge_liability_kg")
+
+
 class Edge:
-    edge_id: str
-    source: str
-    target: str
-    item: str
-    mass_kg: float
-    factor: EmissionFactor
-    source_ref: str | None = None  # the record_id or triple_id the edge was built from
-    edge_liability_kg: float = field(init=False)
+    """One edge of a ``SupplyGraph``: a row read from the graph's columns when asked.
 
-    def __post_init__(self):
-        check_amount("mass_kg", self.mass_kg)
-        self.edge_liability_kg = self.mass_kg * self.factor.per_kg_co2e
-        if self.edge_liability_kg == math.inf:  # two checked amounts fail only by overflow
-            check_amount("edge_liability_kg", self.edge_liability_kg)
+    ``add_edge``, ``graph.edges[i]`` and iteration over ``graph.edges`` return
+    these rows. ``item``, ``edge_id`` and ``source_ref`` can be set; the value
+    goes to the graph's column. Rows compare by value, field by field.
+    """
+
+    __slots__ = ("_graph", "_i")
+
+    def __init__(self, graph: SupplyGraph, i: int):
+        self._graph = graph
+        self._i = i
+
+    @property
+    def edge_id(self) -> str:
+        ids = self._graph.edge_ids
+        return sequence_id(self._i + 1) if ids is None else ids[self._i]
+
+    @edge_id.setter
+    def edge_id(self, edge_id: str) -> None:
+        self._graph._set_edge_id(self._i, edge_id)
+
+    @property
+    def source(self) -> str:
+        return self._graph.node_ids[self._graph.sources[self._i]]
+
+    @property
+    def target(self) -> str:
+        return self._graph.node_ids[self._graph.targets[self._i]]
+
+    @property
+    def item(self) -> str:
+        return self._graph.items[self._i]
+
+    @item.setter
+    def item(self, item: str) -> None:
+        self._graph.items[self._i] = item
+
+    @property
+    def mass_kg(self) -> float:
+        return self._graph.masses[self._i]
+
+    @property
+    def factor(self) -> EmissionFactor:
+        return self._graph.factors[self._i]
+
+    @property
+    def source_ref(self) -> str | None:
+        """The ``record_id`` or ``triple_id`` the edge was built from."""
+        return self._graph.source_refs[self._i]
+
+    @source_ref.setter
+    def source_ref(self, source_ref: str | None) -> None:
+        self._graph.source_refs[self._i] = source_ref
+
+    @property
+    def edge_liability_kg(self) -> float:
+        return self._graph.liabilities[self._i]
+
+    def _row(self) -> tuple:
+        return tuple(getattr(self, name) for name in _EDGE_FIELDS)
+
+    def __eq__(self, other):
+        if type(other) is not Edge:
+            return NotImplemented
+        return self._row() == other._row()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_EDGE_FIELDS, self._row()))
+        return f"Edge({fields})"
 
 
-@dataclass
+class EdgeView(Sequence):
+    """``graph.edges``: a read-only sequence of ``Edge`` rows over the graph's columns.
+
+    Indexing, slicing and iteration build the rows they return (a slice is a
+    list of rows); the view equals another view or a list of rows of the same
+    length whose rows are equal in order.
+    """
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: SupplyGraph):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.targets)
+
+    def __getitem__(self, i):
+        positions = range(len(self))[i]
+        if isinstance(positions, range):
+            return [Edge(self._graph, k) for k in positions]
+        return Edge(self._graph, positions)
+
+    def __iter__(self):
+        return map(Edge, itertools.repeat(self._graph), range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (EdgeView, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class SupplyGraph:
-    nodes: dict[str, Node] = field(default_factory=dict)
-    edges: list[Edge] = field(default_factory=list)
-    _edge_ids: set[str] = field(init=False, repr=False, compare=False)
+    """Nodes by canonical id, and edges held as columns.
 
-    def __post_init__(self):
-        self._edge_ids = {edge.edge_id for edge in self.edges}
+    Node ``v`` is the ``v``-th node added (``node_ids[v]``; ``node_position``
+    maps an id back). Edge ``i`` is the ``i``-th edge added, one entry in
+    each column: ``sources`` and ``targets`` hold node positions
+    (``array('l')``), ``masses`` and ``liabilities`` (``mass_kg *
+    factor.per_kg_co2e``) are ``array('d')``, and ``items``, ``factors`` and
+    ``source_refs`` are lists of references, so edges share one item string
+    and one ``EmissionFactor`` each where their builder shares them. A mass
+    is stored as a float. ``edge_ids`` is None while the ids are
+    ``add_edge``'s sequence ``e000001``, ``e000002``, …; the first id off
+    the sequence spells them all out, and only then is the set of ids that
+    ``add_edge`` checks for repeats built. ``edges`` reads the columns as
+    ``Edge`` rows. Add nodes and edges only through ``add_node`` and
+    ``add_edge`` (or ``append_edge``).
+    """
+
+    def __init__(self):
+        self.nodes: dict[str, Node] = {}
+        self.node_ids: list[str] = []
+        self.node_position: dict[str, int] = {}
+        self.sources = array("l")
+        self.targets = array("l")
+        self.masses = array("d")
+        self.liabilities = array("d")
+        self.items: list[str] = []
+        self.factors: list[EmissionFactor] = []
+        self.source_refs: list[str | None] = []
+        self.edge_ids: list[str] | None = None
+        self._id_set: set[str] | None = None
+
+    @property
+    def edges(self) -> EdgeView:
+        return EdgeView(self)
+
+    def __eq__(self, other):
+        if type(other) is not SupplyGraph:
+            return NotImplemented
+        return self.nodes == other.nodes and self.edges == other.edges
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SupplyGraph(nodes={self.nodes!r}, edges={self.edges!r})"
 
     def add_node(self, canonical_id: str, display_name: str, direct_emissions_kg: float = 0.0) -> Node:
         node = self.nodes.get(canonical_id)
         if node is None:
             node = Node(canonical_id, display_name, direct_emissions_kg)
+            self.node_position[canonical_id] = len(self.node_ids)
+            self.node_ids.append(canonical_id)
             self.nodes[canonical_id] = node
         return node
 
     def add_edge(self, source: str, target: str, item: str, mass_kg: float, factor: EmissionFactor,
                  edge_id: str | None = None, source_ref: str | None = None) -> Edge:
-        if source not in self.nodes:
+        s = self.node_position.get(source)
+        if s is None:
             raise NodeNotFoundError(f"unknown edge source: {source}")
-        if target not in self.nodes:
+        t = self.node_position.get(target)
+        if t is None:
             raise NodeNotFoundError(f"unknown edge target: {target}")
-        if edge_id is None:
-            edge_id = f"e{len(self.edges) + 1:06d}"
-        # Edge ids name edges in graph_json, which must read back to the same
-        # graph, and in GEXF, whose ids must be unique.
-        if edge_id in self._edge_ids:
-            raise DuplicateIdError(f"duplicate edge_id {edge_id!r}")
-        edge = Edge(edge_id, source, target, item, mass_kg, factor, source_ref)
-        self._edge_ids.add(edge_id)
-        self.edges.append(edge)
-        return edge
+        self.append_edge(s, t, item, mass_kg, factor, edge_id, source_ref)
+        return Edge(self, len(self.targets) - 1)
+
+    def append_edge(self, source: int, target: int, item: str, mass_kg: float,
+                    factor: EmissionFactor, edge_id: str | None = None,
+                    source_ref: str | None = None) -> None:
+        """``add_edge`` between the nodes at positions ``source`` and ``target``.
+
+        Edge ids name edges in graph_json, which must read back to the same
+        graph, and in GEXF, whose ids must be unique: a repeated one raises
+        ``DuplicateIdError``, and so does an explicit id that an earlier
+        edge got from the sequence, or that a later one would get. Mass and
+        liability follow ``check_amount``; a failed add changes no column.
+        """
+        n = len(self.targets)
+        ids, seen = self.edge_ids, self._id_set
+        # sequence_id(n + 1) inlined: a reader adds every edge of a file here
+        if ids is None and edge_id is not None and edge_id != "e%06d" % (n + 1):
+            ids = list(map(sequence_id, range(1, n + 1)))  # the ids leave the sequence
+        if ids is not None:
+            if edge_id is None:
+                edge_id = sequence_id(n + 1)
+            if seen is None:
+                seen = set(ids)
+            if edge_id in seen:
+                raise DuplicateIdError(f"duplicate edge_id {edge_id!r}")
+        if not 0 <= mass_kg < _INF:
+            check_amount("mass_kg", mass_kg)
+        liability = mass_kg * factor.per_kg_co2e
+        if liability == _INF:  # two checked amounts fail only by overflow
+            check_amount("edge_liability_kg", liability)
+        self.masses.append(mass_kg)
+        self.liabilities.append(liability)
+        self.sources.append(source)
+        self.targets.append(target)
+        self.items.append(item)
+        self.factors.append(factor)
+        self.source_refs.append(source_ref)
+        if ids is not None:
+            ids.append(edge_id)
+            seen.add(edge_id)
+            self.edge_ids, self._id_set = ids, seen
+
+    def _set_edge_id(self, i: int, edge_id: str) -> None:
+        """Rename edge ``i``; the set of ids is built again by the next add."""
+        if self.edge_ids is None:
+            self.edge_ids = list(map(sequence_id, range(1, len(self.targets) + 1)))
+        self.edge_ids[i] = edge_id
+        self._id_set = None
 
 
 @dataclass
@@ -258,10 +449,10 @@ def build_graph(
     graph = SupplyGraph()
     report = BuildReport()
 
-    def node_for(raw_name: str) -> str:
+    def node_for(raw_name: str) -> int:
         cid = alias_map[raw_name]
         graph.add_node(cid, names.get(cid, raw_name))
-        return cid
+        return graph.node_position[cid]
 
     for rec in store.records.values():
         if rec.shipper.raw_name not in alias_map:
@@ -277,8 +468,8 @@ def build_graph(
         source = node_for(rec.shipper.raw_name)
         target = node_for(rec.consignee.raw_name)
         try:
-            graph.add_edge(source, target, rec.product_desc, rec.weight_kg, factor,
-                           source_ref=rec.record_id)
+            graph.append_edge(source, target, rec.product_desc, rec.weight_kg, factor,
+                              source_ref=rec.record_id)
         except ValueError as exc:
             raise ValueError(f"record {rec.record_id} item {rec.product_desc!r}: {exc}") from exc
         report.edges_from_records += 1
@@ -301,7 +492,7 @@ def build_graph(
         factor = resolver(item) or EmissionFactor(0.0, "manual")
         source = node_for(triple.supplier.raw_name)
         target = node_for(triple.buyer.raw_name)
-        graph.add_edge(source, target, item, 0.0, factor, source_ref=triple.triple_id)
+        graph.append_edge(source, target, item, 0.0, factor, source_ref=triple.triple_id)
         report.edges_from_triples += 1
 
     return graph, report
@@ -318,6 +509,15 @@ class NodeLiability:
     inherited_kg: float = 0.0
     transferred_kg: float = 0.0
     retained_kg: float = 0.0
+
+    @classmethod
+    def from_dict(cls, row: dict) -> "NodeLiability":
+        return cls(
+            direct_kg=float(row["direct_kg"]),
+            inherited_kg=float(row["inherited_kg"]),
+            transferred_kg=float(row["transferred_kg"]),
+            retained_kg=float(row["retained_kg"]),
+        )
 
 
 @dataclass
@@ -386,43 +586,60 @@ class ELiabilityReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ELiabilityReport":
-        return cls(
-            mode=d["mode"],
-            residual=float(d["residual"]),
-            nodes={
-                nid: NodeLiability(
-                    direct_kg=float(row["direct_kg"]),
-                    inherited_kg=float(row["inherited_kg"]),
-                    transferred_kg=float(row["transferred_kg"]),
-                    retained_kg=float(row["retained_kg"]),
-                )
-                for nid, row in d["nodes"].items()
-            },
-        )
+        """The report of ``to_dict()``'s layout, its numbers read through ``float()``.
+
+        A ``nodes`` dict whose rows are all ``NodeLiability`` already (as
+        ``load_report_json`` reads them) is taken as it is.
+        """
+        mode, residual, nodes = d["mode"], float(d["residual"]), d["nodes"]
+        if not all(type(row) is NodeLiability for row in nodes.values()):
+            nodes = {nid: NodeLiability.from_dict(row) for nid, row in nodes.items()}
+        return cls(mode=mode, residual=residual, nodes=nodes)
 
 
-def _positions(graph: SupplyGraph):
-    """Per node position its incoming and outgoing edge positions; each edge's head and tail.
+class _Groups:
+    """Integers in groups, as compressed sparse rows.
 
-    Nodes are numbered in ``graph.nodes`` order and edges by their index in
-    ``graph.edges``; each per-node list keeps edge order. ``head`` and
-    ``tail`` are the positions of each edge's target and source.
+    ``groups[k]`` is ``index[start[k]:start[k + 1]]``: two flat
+    ``array('l')``, with no list or int object per member.
     """
-    pos = {nid: v for v, nid in enumerate(graph.nodes)}
-    incoming: list[list[int]] = [[] for _ in pos]
-    outgoing: list[list[int]] = [[] for _ in pos]
-    head: list[int] = []
-    tail: list[int] = []
-    for i, edge in enumerate(graph.edges):
-        target, source = pos[edge.target], pos[edge.source]
-        head.append(target)
-        tail.append(source)
-        incoming[target].append(i)
-        outgoing[source].append(i)
-    return incoming, outgoing, head, tail
+
+    __slots__ = ("start", "index")
+
+    def __init__(self, start: array, index: array):
+        self.start, self.index = start, index
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def __getitem__(self, k: int) -> array:
+        return self.index[self.start[k]:self.start[k + 1]]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
-def _components(outgoing: list[list[int]], head: list[int]) -> list[list[int]]:
+def _adjacency(ends: array, n: int) -> _Groups:
+    """The edges at each of ``n`` nodes, grouped by a counting sort.
+
+    Group ``v`` holds, in edge order, each edge whose end in ``ends`` is
+    ``v``; ``ends`` is an edge column of node positions (``targets`` for
+    incoming edges, ``sources`` for outgoing ones).
+    """
+    start = array("l", [0]) * (n + 1)
+    for v in ends:
+        start[v + 1] += 1
+    for v in range(n):
+        start[v + 1] += start[v]
+    index = array("l", [0]) * len(ends)
+    fill = start[:n]
+    for i, v in enumerate(ends):
+        index[fill[v]] = i
+        fill[v] += 1
+    return _Groups(start, index)
+
+
+def _components(outgoing: _Groups, head: array) -> _Groups:
     """Strongly connected components of node positions, upstream first (iterative Tarjan).
 
     Tarjan's algorithm closes a component only after every component it
@@ -431,11 +648,11 @@ def _components(outgoing: list[list[int]], head: list[int]) -> list[list[int]]:
     hitting the interpreter's recursion limit.
     """
     n = len(outgoing)
-    index = [-1] * n
-    low = [0] * n
+    index = array("l", [-1]) * n
+    low = array("l", [0]) * n
     on_stack = bytearray(n)
     stack: list[int] = []
-    components: list[list[int]] = []
+    members, ends = array("l"), array("l", [0])  # the components as closed: downstream first
     visited = 0
     for root in range(n):
         if index[root] >= 0:
@@ -465,27 +682,29 @@ def _components(outgoing: list[list[int]], head: list[int]) -> list[list[int]]:
                     if low[v] < low[parent]:
                         low[parent] = low[v]
                 if low[v] == index[v]:
-                    component = []
                     while True:
                         member = stack.pop()
                         on_stack[member] = 0
-                        component.append(member)
+                        members.append(member)
                         if member == v:
                             break
-                    components.append(component)
-    components.reverse()
-    return components
+                    ends.append(len(members))
+    closed = _Groups(ends, members)
+    start, index = array("l", [0]), array("l")
+    for k in reversed(range(len(closed))):
+        index.extend(closed[k])
+        start.append(len(index))
+    return _Groups(start, index)
 
 
-def _is_cyclic(component: list[int], outgoing: list[list[int]], head: list[int]) -> bool:
+def _is_cyclic(component: array, outgoing: _Groups, head: array) -> bool:
     if len(component) > 1:
         return True
     v = component[0]
     return any(head[i] == v for i in outgoing[v])
 
 
-def _cycle_in(component: list[int], ids: list[str], outgoing: list[list[int]],
-              head: list[int]) -> list[str]:
+def _cycle_in(component: array, ids: list[str], outgoing: _Groups, head: array) -> list[str]:
     """A shortest closed path (node ids) through the component's smallest node id."""
     members = set(component)
     start = min(component, key=ids.__getitem__)
@@ -534,28 +753,29 @@ def propagate(
     if on_cycle not in ON_CYCLE:
         raise UsageError(f"on_cycle must be one of {ON_CYCLE}, got {on_cycle!r}")
 
-    incoming, outgoing, head, tail = _positions(graph)
-    ids = list(graph.nodes)
+    ids, head, tail = graph.node_ids, graph.targets, graph.sources
+    incoming, outgoing = _adjacency(head, len(ids)), _adjacency(tail, len(ids))
     full = mode == "full_propagation"
-    components = _components(outgoing, head) if full else [[v] for v in range(len(ids))]
+    components = (_components(outgoing, head) if full
+                  else _Groups(array("l", range(len(ids) + 1)), array("l", range(len(ids)))))
     cyclic = [full and _is_cyclic(component, outgoing, head) for component in components]
     if on_cycle == "error" and any(cyclic):
         cycle = _cycle_in(components[cyclic.index(True)], ids, outgoing, head)
         raise CycleError(f"graph contains a cycle: {' -> '.join(cycle)}", cycle=cycle)
 
     nodes = list(graph.nodes.values())
-    edges = graph.edges
-    out_mass = [sum(edges[i].mass_kg for i in out) for out in outgoing] if full else []
+    masses, liabilities = graph.masses, graph.liabilities
+    out_mass = array("d", (sum(masses[i] for i in out) for out in outgoing) if full else ())
     if math.inf in out_mass:  # each share would be pool * (mass / inf) = 0.0
         node_id = ids[out_mass.index(math.inf)]
         raise ValueError(f"node {node_id!r}: outgoing mass must be finite, got inf")
-    share = array("d", bytes(8 * len(edges)))
+    share = array("d", [0.0]) * len(head)
     rows: list[NodeLiability | None] = [None] * len(nodes)
     residual = 0.0
     for component, is_cyclic in zip(components, cyclic):
         if is_cyclic:
-            change = _iterate_component(nodes, edges, component, tail, incoming, outgoing,
-                                        out_mass, share, tolerance)
+            change = _iterate_component(nodes, masses, liabilities, component, tail, incoming,
+                                        outgoing, out_mass, share, tolerance)
             if not change < tolerance:
                 raise CycleError(
                     f"propagation did not converge: residual {change:.3e} is not below "
@@ -567,21 +787,20 @@ def propagate(
         # of it once its pools are allocated.
         for v in component:
             direct = nodes[v].direct_emissions_kg
-            inherited = sum(edges[i].edge_liability_kg + share[i] for i in incoming[v])
+            inherited = sum(liabilities[i] + share[i] for i in incoming[v])
             pool = direct + inherited
             if not pool < math.inf:
                 raise ValueError(f"node {ids[v]!r}: direct + inherited must be finite, "
                                  f"got {pool!r}")
             if full and not is_cyclic:
-                _allocate(pool, outgoing[v], out_mass[v], edges, share)
+                _allocate(pool, outgoing[v], out_mass[v], masses, share)
             transferred = sum(share[i] for i in outgoing[v]) if full else 0.0
             retained = pool - transferred
             rows[v] = NodeLiability(direct, inherited, transferred, retained)
     return ELiabilityReport(mode=mode, residual=residual, nodes=dict(zip(ids, rows)))
 
 
-def _allocate(pool: float, out: list[int], out_mass: float, edges: list[Edge],
-              share: array) -> None:
+def _allocate(pool: float, out: array, out_mass: float, masses: array, share: array) -> None:
     """Split ``pool`` over the edge positions ``out`` (total mass ``out_mass``) by mass.
 
     Without outgoing mass the shares stay 0.0, as every share starts.
@@ -589,11 +808,11 @@ def _allocate(pool: float, out: list[int], out_mass: float, edges: list[Edge],
     if out_mass <= 0.0:
         return
     for i in out:
-        share[i] = pool * (edges[i].mass_kg / out_mass)
+        share[i] = pool * (masses[i] / out_mass)
 
 
-def _iterate_component(nodes, edges, component, tail, incoming, outgoing, out_mass, share,
-                       tolerance) -> float:
+def _iterate_component(nodes, masses, liabilities, component, tail, incoming, outgoing, out_mass,
+                       share, tolerance) -> float:
     """Jacobi iteration of the pool equations inside one cyclic component.
 
     Inflow from upstream components is final by now, so it is frozen into a
@@ -610,15 +829,14 @@ def _iterate_component(nodes, edges, component, tail, incoming, outgoing, out_ma
         pool = nodes[v].direct_emissions_kg
         terms = []
         for i in incoming[v]:
-            e = edges[i]
             source = tail[i]
             j = local.get(source)
             if j is None:
-                pool += e.edge_liability_kg + share[i]
+                pool += liabilities[i] + share[i]
                 continue
-            pool += e.edge_liability_kg
+            pool += liabilities[i]
             if out_mass[source] > 0.0:
-                terms.append((j, e.mass_kg / out_mass[source]))
+                terms.append((j, masses[i] / out_mass[source]))
         base.append(pool)
         inner.append(terms)
 
@@ -631,7 +849,7 @@ def _iterate_component(nodes, edges, component, tail, incoming, outgoing, out_ma
         if residual < tolerance:
             break
     for v, pool in zip(component, pools):
-        _allocate(pool, outgoing[v], out_mass[v], edges, share)
+        _allocate(pool, outgoing[v], out_mass[v], masses, share)
     return residual
 
 
@@ -693,10 +911,11 @@ def query(graph: SupplyGraph, report: ELiabilityReport | None, selector: str, *,
         return QueryResult(headers=("canonical_id", "display_name", f"{by}_kg"), rows=rows)
 
     if selector == "breakdown":
+        v, ids = graph.node_position[node], graph.node_ids
         totals: dict[str, float] = defaultdict(float)
-        for edge in graph.edges:
-            if edge.target == node:
-                totals[edge.source] += edge.edge_liability_kg
+        for source, target, liability in zip(graph.sources, graph.targets, graph.liabilities):
+            if target == v:
+                totals[ids[source]] += liability
         rows = [
             (src, graph.nodes[src].display_name, total)
             for src, total in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -707,15 +926,16 @@ def query(graph: SupplyGraph, report: ELiabilityReport | None, selector: str, *,
         if prefix is None:
             raise UsageError("item-total requires a prefix")
         upper = prefix.upper()
-        matched = [e for e in graph.edges if e.item.upper().startswith(upper)]
-        total = sum(e.edge_liability_kg for e in matched)
+        hit = {item: item.upper().startswith(upper) for item in set(graph.items)}
+        matched = [kg for item, kg in zip(graph.items, graph.liabilities) if hit[item]]
         return QueryResult(
             headers=("item_prefix", "total_liability_kg", "edge_count"),
-            rows=[(prefix, total, len(matched))],
+            rows=[(prefix, sum(matched), len(matched))],
         )
 
     if selector == "supplier-count":
-        suppliers = {e.source for e in graph.edges if e.target == node}
+        v = graph.node_position[node]
+        suppliers = {s for s, t in zip(graph.sources, graph.targets) if t == v}
         return QueryResult(
             headers=("canonical_id", "unique_suppliers"), rows=[(node, len(suppliers))]
         )

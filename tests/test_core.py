@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -331,6 +332,68 @@ def test_read_json_through_a_small_window_reads_what_json_loads_reads(doc, separ
     if cut is None:  # a whole document streams each array it is not told to decline
         assert ({key for key, value in streamed.items() if type(value) is _Streamed}
                 == {key for key, value in doc.items() if type(value) is list} - declined)
+
+
+class _StreamedObject(dict):
+    """The members ``read_json`` passed to ``each`` for one streamed object."""
+
+
+def _streaming_members(doc, key):
+    members = _StreamedObject()
+    return members.__setitem__, members
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=st.dictionaries(st.sampled_from(_KEYS), _JSON_VALUES, max_size=5),
+    separators=st.sampled_from([(",", ":"), (", ", ": "), (" ,\r\n\t", "\r\n: ")]),
+    cut=st.none() | st.integers(min_value=0),
+    window=st.integers(min_value=1, max_value=24),
+    declined=st.sets(st.sampled_from(_KEYS)),
+    repeat=st.booleans(),
+)
+def test_read_json_streams_object_members_as_json_loads_reads_them(doc, separators, cut, window,
+                                                                   declined, repeat):
+    text = json.dumps(doc, separators=separators)
+    if repeat:  # a name given twice in the first object below the top level
+        text = text[:1] + re.sub(r'(\{\s*)("[^"]*"\s*:)', r'\1\2 0, \2', text[1:], count=1)
+    if cut is not None:
+        text = text[:cut % (len(text) + 1)]
+
+    def stream(doc, key):
+        return None if key in declined else _streaming_members(doc, key)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        whole = _outcome(lambda: read_json(path, _DocError, "doc"))
+        with mock.patch.object(core, "_WINDOW", window):
+            streamed = _outcome(lambda: read_json(path, _DocError, "doc", stream, objects=True))
+    assert streamed == whole
+    if cut is None and not repeat:  # a whole document streams each object not declined
+        assert ({key for key, value in streamed.items() if type(value) is _StreamedObject}
+                == {key for key, value in doc.items() if type(value) is dict} - declined)
+
+
+@pytest.mark.parametrize("content, window", [
+    pytest.param('{"a": {"x": 1, "y": [2, 3]}, "b": {}}', 4, id="members-across-windows"),
+    pytest.param('{"a" :\r\n{ "x"\t:\n1 ,\r\n"y" : {"z": 2} } }', 3, id="spaced"),
+    pytest.param('{"a": {"x": 1, "x": 2}}', 8, id="name-repeated"),
+    pytest.param('{"a": {"x": 1,}}', 8, id="trailing-comma"),
+    pytest.param('{"a": {"x" 1}}', 8, id="no-colon"),
+    pytest.param('{"a": {1: 2}}', 8, id="name-not-a-string"),
+    pytest.param('{"a": {"x": 1}', 8, id="truncated"),
+    pytest.param('{"a": {"x\\u00e9": "\u00e9"}}', 9, id="escaped-name"),
+])
+def test_read_json_streams_object_members_in_edge_cases(tmp_path, content, window):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content.encode("utf-8"))
+    whole = _outcome(lambda: read_json(str(path), _DocError, "doc"))
+    with mock.patch.object(core, "_WINDOW", window):
+        streamed = _outcome(lambda: read_json(str(path), _DocError, "doc", _streaming_members,
+                                              objects=True))
+    assert streamed == whole
 
 
 _LONG_NODES = [{"id": f"n{i}", "display_name": "N"} for i in range(40)]

@@ -336,6 +336,18 @@ def test_graph_json_writer_matches_json_encoder(case):
     assert _exported_text(graph, report, opts) == oracle_graph_json_v2(graph, report, opts)
 
 
+def test_graph_json_v2_writes_edge_ids_only_once_they_leave_the_sequence():
+    graph = chain_graph()
+    graph.add_edge("a", "c", "x", 1.0, EmissionFactor(1.0, "manual"), edge_id="e000003")
+    assert '"edge_ids"' not in _exported_text(graph, None, ExportOptions())
+    graph.edges[0].edge_id = "e000001"  # spelled out, but still the sequence
+    assert graph.edge_ids is not None
+    assert '"edge_ids"' not in _exported_text(graph, None, ExportOptions())
+    graph.add_edge("a", "c", "x", 1.0, EmissionFactor(1.0, "manual"), edge_id="x")
+    assert '"edge_ids":["e000001","e000002","e000003","x"]' in _exported_text(
+        graph, None, ExportOptions())
+
+
 # Text a UTF-8 file can hold: no lone surrogates.
 _REF_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
 
@@ -477,8 +489,8 @@ def test_graph_json_v1_import_peak_memory_is_bounded_by_file_size(tmp_path):
 
 
 def test_graph_json_v1_import_holds_no_more_than_its_graph_and_a_window(tmp_path):
-    # The file (5.1 MiB) is read through a window of 1 MiB, so what the import
-    # holds beyond the graph it returns does not grow with the file: 0.76 MiB
+    # The file (5.1 MiB) is read through a window of 64 KiB, so what the import
+    # holds beyond the graph it returns does not grow with the file: 0.13 MiB
     # here, 5.6 MiB while the file's text was read whole.
     path = tmp_path / "g.json"
     path.write_text(json.dumps(_v1_doc(_large_graph())))
@@ -507,6 +519,91 @@ def test_save_report_json_peak_memory_is_a_fraction_of_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 4
+
+
+def _v1_file_of_a_large_graph(tmp_path):
+    """A 20,000-edge, 5,000-node acyclic graph written as a version-1 graph.json."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_v1_doc(_large_graph(n_nodes=5000))))
+    return path
+
+
+def test_imported_graph_holds_under_150_bytes_per_edge(tmp_path):
+    # Edges are columns: two node positions, mass and liability unboxed, and
+    # references to shared items and factors. One Edge object, id string and
+    # boxed floats per edge held about 380 B per edge here.
+    path = _v1_file_of_a_large_graph(tmp_path)
+    tracemalloc.start()
+    try:
+        graph = import_graph_json(str(path))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.edges) == 20000
+    assert held / len(graph.edges) < 150
+
+
+def test_propagate_peaks_under_2_5_mib_above_its_graph(tmp_path):
+    # 1.5 MiB, the report included: the adjacency is two offset and two index
+    # arrays over the graph's own columns, and the components are flat arrays.
+    # Per-node lists of edge positions and of components took 3.7 MiB.
+    graph = import_graph_json(str(_v1_file_of_a_large_graph(tmp_path)))
+    tracemalloc.start()  # traces what propagate allocates, not the graph
+    try:
+        propagate(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
+def test_load_report_json_peaks_under_half_of_a_whole_decode(tmp_path):
+    # The report of a graph_dag-sized graph (6,000 nodes, 1.1 MiB of text).
+    # Each row is built as it is decoded, through a 64 KiB window: 1.5 MiB
+    # at the peak, the 1.5 MiB report included. Decoding the text whole into
+    # row dicts first peaked at 3.4 MiB.
+    rng = random.Random(3)
+    report = ELiabilityReport("full_propagation", 0.0, {
+        f"company-{i:05d}": NodeLiability(*(rng.uniform(0, 1e3) for _ in range(4)))
+        for i in range(6000)
+    })
+    path = tmp_path / "report.json"
+    save_report_json(report, str(path))
+    tracemalloc.start()
+    try:
+        loaded = load_report_json(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == report
+    assert peak < 3.24 * 2**20 / 2
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"mode": "one_hop", "nodes": {"a": {"direct_kg": 1, "inherited_kg": 0, '
+                 '"retained_kg": 1, "transferred_kg": 0}, "a": {"direct_kg": 2, '
+                 '"inherited_kg": 0, "retained_kg": 2, "transferred_kg": 0}}, "residual": 0}',
+                 None, id="node-id-repeated"),
+    pytest.param('{"mode": "one_hop", "nodes": {"a": {"direct_kg": 1}}, "residual": 0}',
+                 "missing field 'inherited_kg'", id="row-missing-a-field"),
+    pytest.param('{"mode": "one_hop", "nodes": {"a": {"direct_kg": 1, "inherited_kg": 0, '
+                 '"retained_kg": 1, "transferred_kg": 0}, "b": 5}, "residual": 0}',
+                 "malformed report: 'nodes' must map node ids to objects", id="row-not-an-object"),
+    pytest.param('{"nodes": {"a": {"direct_kg": 1, "inherited_kg": 0, '
+                 '"retained_kg": 1, "transferred_kg": 0}}, "residual": 0}',
+                 "missing field 'mode'", id="mode-missing-after-good-rows"),
+])
+def test_load_report_json_reads_streamed_rows_as_a_whole_decode_reads_them(tmp_path, text,
+                                                                          message):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    if message is None:  # json keeps the last row given for a repeated id
+        report = load_report_json(str(path))
+        assert report == ELiabilityReport.from_dict(json.loads(text))
+        assert report.nodes["a"].direct_kg == 2.0
+    else:
+        with pytest.raises(StoreFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            load_report_json(str(path))
 
 
 @settings(max_examples=200, deadline=None)

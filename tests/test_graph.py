@@ -151,6 +151,91 @@ def test_add_edge_rejects_a_repeated_edge_id():
     assert propagate(g).retained("a") == 0.0
 
 
+@pytest.mark.parametrize("first, second", [
+    pytest.param("e000002", None, id="explicit-then-implicit"),
+    pytest.param(None, "e000002", id="implicit-then-explicit"),
+])
+def test_explicit_id_colliding_with_the_sequence_raises_in_either_order(first, second):
+    g = SupplyGraph()
+    g.add_node("a", "A")
+    if first is None:
+        g.add_edge("a", "a", "x", 1.0, UNIT)  # e000001
+    g.add_edge("a", "a", "x", 1.0, UNIT, edge_id=first)  # e000002, given or generated
+    before = list(g.edges)
+    with pytest.raises(DuplicateIdError, match="^duplicate edge_id 'e000002'$"):
+        g.add_edge("a", "a", "x", 1.0, UNIT, edge_id=second)
+    assert list(g.edges) == before  # a failed add changes no column
+
+
+def test_edge_ids_are_spelled_out_only_once_they_leave_the_sequence():
+    g = chain_graph()
+    g.add_edge("a", "c", "x", 1.0, UNIT, edge_id="e000003")  # the sequence's own next id
+    assert g.edge_ids is None and g._id_set is None
+    g.add_edge("a", "c", "x", 1.0, UNIT, edge_id="other")
+    assert g.edge_ids == ["e000001", "e000002", "e000003", "other"]
+    g.add_edge("a", "c", "x", 1.0, UNIT)
+    assert [e.edge_id for e in g.edges][-1] == "e000005"
+
+
+def _rows(graph) -> list[tuple]:
+    return [(e.edge_id, e.source, e.target, e.item, e.mass_kg, e.factor, e.source_ref,
+             e.edge_liability_kg) for e in graph.edges]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_edge_view_reads_the_rows_add_edge_returned(rng, data):
+    graph = SupplyGraph()
+    for nid in ("a", "b", "c"):
+        graph.add_node(nid, nid.upper())
+    returned = []
+    for _ in range(rng.randint(0, 12)):
+        edge_id = data.draw(st.none() | st.sampled_from(["e000001", "e000003", "x", "y"]))
+        try:
+            returned.append(graph.add_edge(rng.choice("abc"), rng.choice("abc"), rng.choice("pq"),
+                                           rng.uniform(0, 10), UNIT, edge_id=edge_id,
+                                           source_ref=data.draw(st.none() | st.text(max_size=2))))
+        except DuplicateIdError:
+            pass
+    rows = list(graph.edges)
+    assert rows == returned and graph.edges == returned and returned == graph.edges
+    assert len(graph.edges) == len(returned)
+    n = len(rows)
+    for i in range(-n, n):
+        assert graph.edges[i] == rows[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            graph.edges[i]
+    window = data.draw(st.slices(n + 2))
+    assert graph.edges[window] == rows[window]
+    assert list(reversed(graph.edges)) == rows[::-1]
+    assert len({e.edge_id for e in graph.edges}) == n  # ids stay distinct
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(
+    ["none", "item", "source_ref", "edge_id", "node", "extra-edge", "node-order"]))
+def test_graphs_are_equal_exactly_when_their_nodes_and_edge_rows_are(rng, change):
+    graph = random_multigraph(rng)
+    other = SupplyGraph()
+    nodes = list(graph.nodes.values())
+    for node in nodes[::-1] if change == "node-order" else nodes:
+        other.add_node(node.canonical_id, node.display_name, node.direct_emissions_kg)
+    for e in graph.edges:
+        other.add_edge(e.source, e.target, e.item, e.mass_kg, e.factor, e.edge_id, e.source_ref)
+    edges, changed = list(other.edges), True
+    if change == "node" and nodes:
+        other.nodes[nodes[0].canonical_id].direct_emissions_kg += 1.0
+    elif change == "extra-edge" and nodes:
+        other.add_edge(nodes[0].canonical_id, nodes[0].canonical_id, "x", 1.0, UNIT)
+    elif change in ("item", "source_ref", "edge_id") and edges:
+        setattr(edges[rng.randrange(len(edges))], change, "changed")  # writes to the column
+    else:
+        changed = False  # node order alone does not make graphs differ
+    assert (graph == other) == (graph.nodes == other.nodes and _rows(graph) == _rows(other))
+    assert (graph == other) != changed
+
+
 def test_one_hop_empty_sum():
     g = chain_graph()
     assert one_hop_inheritance(g, "a") == 0.0
