@@ -53,7 +53,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -192,10 +191,10 @@ def _graph_json_chunks(graph, report, opts):
     and factors are tables built in one pass over the edges; the edge rows
     are then made a batch at a time as they are encoded. A factor is keyed
     by ``(repr(per_kg_co2e), provenance)``, so ``0.0`` and ``-0.0`` (equal,
-    and equally hashed) both round-trip. Edge ids are written only when
-    they are not ``add_edge``'s own sequence ``e000001…``. A string field
-    holding anything but a string raises ``TypeError`` before the file is
-    replaced.
+    and equally hashed) both round-trip. Edge ids are written only once
+    one has left ``add_edge``'s sequence ``e000001…`` (``graph.edge_ids``).
+    A string field holding anything but a string raises ``TypeError``
+    before the file is replaced.
     """
     nodes = _visible_nodes(graph, opts.include_isolates)
     # The file numbers the nodes it lists; without isolates left out, that is
@@ -236,11 +235,9 @@ def _graph_json_chunks(graph, report, opts):
     }
     strings = [doc["nodes"]["id"], doc["nodes"]["display_name"], items,
                [p for _, p in factor_rows], (ref for ref in graph.source_refs if ref is not None)]
-    edge_ids = graph.edge_ids
-    sequence = map(sequence_id, itertools.count(1))
-    if edge_ids is not None and any(map(operator.ne, edge_ids, sequence)):
-        doc["edge_ids"] = edge_ids
-        strings.append(edge_ids)
+    if graph.edge_ids is not None:  # some id has left add_edge's sequence
+        doc["edge_ids"] = graph.edge_ids
+        strings.append(graph.edge_ids)
     if report is not None:
         doc["report"] = report.to_dict()
         strings += [[report.mode], report.nodes]
@@ -338,7 +335,12 @@ def _v1_graph(path: str, nodes: list):
             nid = n["id"]
             if nid in graph.nodes:
                 raise StoreFormatError(f"{path}: nodes[{i}]: duplicate node id {nid!r}")
-            graph.add_node(nid, n["display_name"], float(n["direct_emissions_kg"]))
+            kg = n["direct_emissions_kg"]
+            if type(kg) is not float:
+                if type(kg) is not int:
+                    raise ValueError(_node_fault(nid, n["display_name"], kg))
+                kg = float(kg)
+            graph.add_node(nid, n["display_name"], kg)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StoreFormatError(f"{path}: nodes[{i}]: {exc}") from exc
     # EmissionFactor is frozen, so edges with the same factor share one
@@ -366,7 +368,11 @@ def _v1_graph(path: str, nodes: list):
             factor = factors.get(key)
             if factor is None:
                 factor = factors[key] = EmissionFactor.from_dict(raw)
-            mass = float(e["mass_kg"])
+            mass = e["mass_kg"]
+            if type(mass) is not float:
+                if type(mass) is not int:
+                    raise ValueError(f"mass_kg must be a number, got {type(mass).__name__}")
+                mass = float(mass)
             s, t = position(source), position(target)
             if s is None or t is None:
                 graph.add_edge(source, target, item, mass, factor)  # raises NodeNotFoundError

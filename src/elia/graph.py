@@ -53,7 +53,6 @@ standard.
 from __future__ import annotations
 
 import fnmatch
-import itertools
 import math
 import operator
 import random
@@ -63,7 +62,7 @@ from collections import Counter, defaultdict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .core import EmissionFactor, check_amount, json_number, read_ndjson
 from .errors import CycleError, DuplicateIdError, NodeNotFoundError, SchemaError, UsageError
@@ -92,84 +91,23 @@ def sequence_id(k: int) -> str:
     return "e%06d" % k
 
 
-# An edge row's fields, in the order rows compare and print.
-_EDGE_FIELDS = ("edge_id", "source", "target", "item", "mass_kg", "factor", "source_ref",
-                "edge_liability_kg")
-
-
-class Edge:
-    """One edge of a ``SupplyGraph``: a row read from the graph's columns when asked.
+class Edge(NamedTuple):
+    """One edge of a ``SupplyGraph``: an immutable row built from the graph's columns.
 
     ``add_edge``, ``graph.edges[i]`` and iteration over ``graph.edges`` return
-    these rows. ``item``, ``edge_id`` and ``source_ref`` can be set; the value
-    goes to the graph's column. Rows compare by value, field by field.
+    these rows. An edge's ``edge_id`` and ``source_ref`` are fixed when it is
+    added: pass them to ``add_edge`` (``_replace`` gives an edited copy of a
+    row to add).
     """
 
-    __slots__ = ("_graph", "_i")
-
-    def __init__(self, graph: SupplyGraph, i: int):
-        self._graph = graph
-        self._i = i
-
-    @property
-    def edge_id(self) -> str:
-        ids = self._graph.edge_ids
-        return sequence_id(self._i + 1) if ids is None else ids[self._i]
-
-    @edge_id.setter
-    def edge_id(self, edge_id: str) -> None:
-        self._graph._set_edge_id(self._i, edge_id)
-
-    @property
-    def source(self) -> str:
-        return self._graph.node_ids[self._graph.sources[self._i]]
-
-    @property
-    def target(self) -> str:
-        return self._graph.node_ids[self._graph.targets[self._i]]
-
-    @property
-    def item(self) -> str:
-        return self._graph.items[self._i]
-
-    @item.setter
-    def item(self, item: str) -> None:
-        self._graph.items[self._i] = item
-
-    @property
-    def mass_kg(self) -> float:
-        return self._graph.masses[self._i]
-
-    @property
-    def factor(self) -> EmissionFactor:
-        return self._graph.factors[self._i]
-
-    @property
-    def source_ref(self) -> str | None:
-        """The ``record_id`` or ``triple_id`` the edge was built from."""
-        return self._graph.source_refs[self._i]
-
-    @source_ref.setter
-    def source_ref(self, source_ref: str | None) -> None:
-        self._graph.source_refs[self._i] = source_ref
-
-    @property
-    def edge_liability_kg(self) -> float:
-        return self._graph.liabilities[self._i]
-
-    def _row(self) -> tuple:
-        return tuple(getattr(self, name) for name in _EDGE_FIELDS)
-
-    def __eq__(self, other):
-        if type(other) is not Edge:
-            return NotImplemented
-        return self._row() == other._row()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_EDGE_FIELDS, self._row()))
-        return f"Edge({fields})"
+    edge_id: str
+    source: str
+    target: str
+    item: str
+    mass_kg: float
+    factor: EmissionFactor
+    source_ref: str | None  # the ``record_id`` or ``triple_id`` the edge was built from
+    edge_liability_kg: float
 
 
 class EdgeView(Sequence):
@@ -191,11 +129,11 @@ class EdgeView(Sequence):
     def __getitem__(self, i):
         positions = range(len(self))[i]
         if isinstance(positions, range):
-            return [Edge(self._graph, k) for k in positions]
-        return Edge(self._graph, positions)
+            return list(map(self._graph._edge, positions))
+        return self._graph._edge(positions)
 
     def __iter__(self):
-        return map(Edge, itertools.repeat(self._graph), range(len(self)))
+        return map(self._graph._edge, range(len(self)))
 
     def __eq__(self, other):
         if not isinstance(other, (EdgeView, list)):
@@ -220,10 +158,12 @@ class SupplyGraph:
     and one ``EmissionFactor`` each where their builder shares them. A mass
     is stored as a float. ``edge_ids`` is None while the ids are
     ``add_edge``'s sequence ``e000001``, ``e000002``, …; the first id off
-    the sequence spells them all out, and only then is the set of ids that
-    ``add_edge`` checks for repeats built. ``edges`` reads the columns as
-    ``Edge`` rows. Add nodes and edges only through ``add_node`` and
-    ``add_edge`` (or ``append_edge``).
+    the sequence spells them all out, together with the set of ids that
+    ``add_edge`` checks for repeats. An edge's id and ``source_ref`` are
+    fixed when it is added, so ``edge_ids`` is not None exactly when some id
+    has left the sequence. ``edges`` reads the columns as ``Edge`` rows. Add
+    nodes and edges only through ``add_node`` and ``add_edge`` (or
+    ``append_edge``).
     """
 
     def __init__(self):
@@ -272,7 +212,15 @@ class SupplyGraph:
         if t is None:
             raise NodeNotFoundError(f"unknown edge target: {target}")
         self.append_edge(s, t, item, mass_kg, factor, edge_id, source_ref)
-        return Edge(self, len(self.targets) - 1)
+        return self._edge(len(self.targets) - 1)
+
+    def _edge(self, i: int) -> Edge:
+        """Edge ``i`` as a row of its columns."""
+        ids = self.edge_ids
+        return Edge(sequence_id(i + 1) if ids is None else ids[i],
+                    self.node_ids[self.sources[i]], self.node_ids[self.targets[i]],
+                    self.items[i], self.masses[i], self.factors[i], self.source_refs[i],
+                    self.liabilities[i])
 
     def append_edge(self, source: int, target: int, item: str, mass_kg: float,
                     factor: EmissionFactor, edge_id: str | None = None,
@@ -290,11 +238,10 @@ class SupplyGraph:
         # sequence_id(n + 1) inlined: a reader adds every edge of a file here
         if ids is None and edge_id is not None and edge_id != "e%06d" % (n + 1):
             ids = list(map(sequence_id, range(1, n + 1)))  # the ids leave the sequence
+            seen = set(ids)
         if ids is not None:
             if edge_id is None:
                 edge_id = sequence_id(n + 1)
-            if seen is None:
-                seen = set(ids)
             if edge_id in seen:
                 raise DuplicateIdError(f"duplicate edge_id {edge_id!r}")
         if not 0 <= mass_kg < _INF:
@@ -313,13 +260,6 @@ class SupplyGraph:
             ids.append(edge_id)
             seen.add(edge_id)
             self.edge_ids, self._id_set = ids, seen
-
-    def _set_edge_id(self, i: int, edge_id: str) -> None:
-        """Rename edge ``i``; the set of ids is built again by the next add."""
-        if self.edge_ids is None:
-            self.edge_ids = list(map(sequence_id, range(1, len(self.targets) + 1)))
-        self.edge_ids[i] = edge_id
-        self._id_set = None
 
 
 @dataclass

@@ -352,6 +352,16 @@ def overflowing_edge():
                  id="overflowing-liability"),
     pytest.param(graph_doc([("a", 0.0), ("b", 0.0)], [("e1", "a", "b", 10**400)]),
                  ": edges[0]: int too large to convert to float", id="integer-too-large-mass"),
+    pytest.param(graph_doc([("a", 0.0), ("b", "5")], []),
+                 ": nodes[1]: direct_emissions_kg must be a number, got str",
+                 id="direct-emissions-string"),
+    pytest.param(graph_doc([("a", 0.0), ("b", True)], []),
+                 ": nodes[1]: direct_emissions_kg must be a number, got bool",
+                 id="direct-emissions-bool"),
+    pytest.param(graph_doc([("a", 0.0), ("b", 0.0)], [("e1", "a", "b", "10")]),
+                 ": edges[0]: mass_kg must be a number, got str", id="mass-string"),
+    pytest.param(graph_doc([("a", 0.0), ("b", 0.0)], [("e1", "a", "b", True)]),
+                 ": edges[0]: mass_kg must be a number, got bool", id="mass-bool"),
     pytest.param(with_integer_too_long(graph_doc([("a", 0.0), ("b", 2.5)], []), 2.5),
                  ": malformed JSON: Exceeds the limit (4300 digits) for integer string conversion",
                  id="direct-emissions-integer-too-long"),

@@ -24,6 +24,7 @@ from elia.graph import (
     one_hop_inheritance,
     propagate,
     query,
+    sequence_id,
 )
 from elia.resolution import resolve
 from elia.store import new_store
@@ -210,6 +211,19 @@ def test_edge_view_reads_the_rows_add_edge_returned(rng, data):
     assert graph.edges[window] == rows[window]
     assert list(reversed(graph.edges)) == rows[::-1]
     assert len({e.edge_id for e in graph.edges}) == n  # ids stay distinct
+    assert (graph.edge_ids is None) == all(e.edge_id == sequence_id(k + 1)
+                                           for k, e in enumerate(rows))
+
+
+def test_edge_rows_cannot_be_changed():
+    graph, unchanged = chain_graph(), chain_graph()
+    returned = graph.add_edge("a", "c", "x", 1.0, UNIT, source_ref="r1")
+    unchanged.add_edge("a", "c", "x", 1.0, UNIT, source_ref="r1")
+    with pytest.raises(AttributeError):
+        graph.edges[0].item = "changed"
+    with pytest.raises(AttributeError):
+        returned.source_ref = "changed"
+    assert graph == unchanged and returned.source_ref == "r1"
 
 
 @settings(max_examples=200, deadline=None)
@@ -221,15 +235,18 @@ def test_graphs_are_equal_exactly_when_their_nodes_and_edge_rows_are(rng, change
     nodes = list(graph.nodes.values())
     for node in nodes[::-1] if change == "node-order" else nodes:
         other.add_node(node.canonical_id, node.display_name, node.direct_emissions_kg)
-    for e in graph.edges:
+    edges, changed = list(graph.edges), True
+    if change in ("item", "source_ref", "edge_id") and edges:
+        k = rng.randrange(len(edges))
+        edges[k] = edges[k]._replace(**{change: "changed"})  # before the edge is added
+    for e in edges:
         other.add_edge(e.source, e.target, e.item, e.mass_kg, e.factor, e.edge_id, e.source_ref)
-    edges, changed = list(other.edges), True
     if change == "node" and nodes:
         other.nodes[nodes[0].canonical_id].direct_emissions_kg += 1.0
     elif change == "extra-edge" and nodes:
         other.add_edge(nodes[0].canonical_id, nodes[0].canonical_id, "x", 1.0, UNIT)
     elif change in ("item", "source_ref", "edge_id") and edges:
-        setattr(edges[rng.randrange(len(edges))], change, "changed")  # writes to the column
+        pass  # one row was changed above
     else:
         changed = False  # node order alone does not make graphs differ
     assert (graph == other) == (graph.nodes == other.nodes and _rows(graph) == _rows(other))
